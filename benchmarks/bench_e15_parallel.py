@@ -50,6 +50,7 @@ import pytest
 
 from repro.datalog.columnar import shard
 from repro.datalog.engine import get_engine
+from repro.datalog.engine.fixpoint import select_lane
 from repro.datalog.engine.planner import Planner
 from repro.datalog.parser import parse_program
 from repro.datalog.workloads import (
@@ -147,7 +148,7 @@ def test_sharding_actually_engages():
     """
     for label, (program, database) in WORKLOADS.items():
         plan = PLANNERS[label].plan(program, database)
-        assert shard.applicable(plan, database, program, workers=2), label
+        assert select_lane(plan, database, program, workers=2) == "sharded", label
 
 
 def test_parity_sharded_vs_serial():

@@ -22,22 +22,27 @@ Statistics parity with the tuple path is structural, not accidental: a
 rule's firing count is the number of complete body matches — a
 join-order- and batch-order-invariant multiset — and the per-round
 "new" count is the bucket's growth, which only depends on the round's
-start state.  The fixpoint drivers below mirror the tuple engines' loops
-(`seminaive`/`naive`) line for line, so ``EvaluationStatistics`` come
-out identical and the differential harness can assert full equality.
+start state.  The round loop itself is the shared driver
+(:mod:`repro.datalog.engine.fixpoint`), called through :class:`PackedLane`,
+so ``EvaluationStatistics`` come out identical and the differential
+harness can assert full equality.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.datalog.columnar.relation import KEY_BITS, ColumnarRelation, pack_codes
+from repro.datalog.columnar.relation import (
+    KEY_BITS,
+    ColumnarRelation,
+    arity_of_key,
+    pack_codes,
+    unpack_columns,
+)
 from repro.datalog.database import Database
-from repro.datalog.engine.base import EvaluationResult, split_rules
+from repro.datalog.engine.base import EvaluationResult
 from repro.datalog.engine.executor import PROBE_CONST, PROBE_SCAN, PROBE_SLOT
-from repro.errors import EvaluationError
-
-_KEY_MASK = (1 << KEY_BITS) - 1
+from repro.datalog.engine.fixpoint import run
 
 
 def plan_supported(plan) -> bool:
@@ -783,244 +788,148 @@ def _run_sequence(sequence: _BatchSequence, working, delta, bucket, existing_set
 
 
 # ----------------------------------------------------------------------
-# Rule firing (the batch counterparts of base.fire_rule / fire_rule_delta)
+# Round commit
 # ----------------------------------------------------------------------
-def _fire_static(batch: BatchKernel, working, bucket, statistics) -> None:
-    predicate = batch.kernel.rule.head.predicate
-    static, _ = batch.sequences(working.table)
-    existing = working.key_sets(predicate, batch.head_arity)
-    firings, new = _run_sequence(static, working, None, bucket, existing)
-    statistics.record_batch(predicate, firings, new)
-
-
-def _fire_delta(
-    batch: BatchKernel, rule, working, delta, delta_predicates, bucket, statistics
-) -> None:
-    predicate = rule.head.predicate
-    _, variants = batch.sequences(working.table)
-    existing = working.key_sets(predicate, batch.head_arity)
-    for position in batch.kernel.delta_positions:
-        if rule.body[position].predicate not in delta_predicates:
-            continue
-        firings, new = _run_sequence(
-            variants[position], working, delta, bucket, existing
-        )
-        statistics.record_batch(predicate, firings, new)
-
-
-def _commit(working: _BatchWorking, buckets, head_arities, build_delta: bool):
+def _commit(working: _BatchWorking, buckets):
     """Unpack each bucket's fresh keys into columns and append them.
 
-    Returns ``(delta groups, total added)``; the delta groups feed the
-    next semi-naive round (``build_delta=False`` for the naive engine,
-    which re-scans the full model instead).
+    Returns ``(delta groups, entries, total added)``.  The delta groups
+    feed the next semi-naive round; *entries* holds one ``(predicate,
+    arity, columns, keys)`` per appended block, keys aligned row-for-row
+    with the columns — what the sharded lane ships to its workers to sync
+    their view and build their shard's delta.
     """
     delta: Dict[str, Dict[int, ColumnarRelation]] = {}
+    entries: List[Tuple[str, int, Tuple, List[int]]] = []
     added = 0
     for predicate, bucket in buckets.items():
         if not bucket:
             continue
-        keys_list = list(bucket)
-        arities = head_arities.get(predicate)
-        per_arity: Dict[int, List[int]] = {}
-        if arities is not None and len(arities) == 1:
-            (arity,) = arities
-            per_arity[arity] = keys_list
-        else:
-            for key in keys_list:
-                arity = (key.bit_length() - 1) // KEY_BITS if key else 0
-                per_arity.setdefault(arity, []).append(key)
-        groups: Dict[int, ColumnarRelation] = {}
-        for arity, keys in per_arity.items():
-            columns = [
-                [(key >> shift) & _KEY_MASK for key in keys]
-                for shift in (KEY_BITS * (arity - 1 - j) for j in range(arity))
-            ]
-            working.local_group(predicate, arity).extend_columns(columns, keys)
-            if build_delta:
-                group = ColumnarRelation(arity)
-                group.extend_columns(columns, keys)
-                groups[arity] = group
-        if build_delta and groups:
-            delta[predicate] = groups
-        added += len(keys_list)
-    return delta, added
+        keys = list(bucket)
+        # Program validation gives a predicate one arity, so every head key
+        # in its bucket carries the same arity seed.
+        arity = arity_of_key(keys[0])
+        columns = unpack_columns(keys, arity)
+        working.local_group(predicate, arity).extend_columns(columns, keys)
+        group = ColumnarRelation(arity)
+        group.extend_columns(columns, keys)
+        delta[predicate] = {arity: group}
+        entries.append((predicate, arity, columns, keys))
+        added += len(keys)
+    return delta, entries, added
 
 
-def _decode_idb(working: _BatchWorking, database, idb_predicates) -> Database:
-    """The derived IDB relations decoded back to plain value tuples.
+# ----------------------------------------------------------------------
+# The lane
+# ----------------------------------------------------------------------
+def lower_stratum(plan, stratum, table) -> Tuple:
+    """A stratum's firing schedule, every sequence lowered against *table*.
 
-    Mirrors the tuple engines' ``working.restrict(idb_predicates)``: the
-    input database's relations under IDB names ride along, and only
-    non-empty relations appear.
+    One ``(head, head arity, static sequence, ((body position, body
+    predicate, delta sequence), ...))`` per rule, in the order every
+    columnar lane — and the sharded lane's workers and merge — fires
+    them.  Lowering interns the rules' constants, so once this returns
+    all of the stratum's codes exist: the vector lane sizes its dedup
+    bitmaps from the table, and forked shard workers never intern.
     """
-    values = working.table.values()
-    relations: Dict[str, Set[Tuple]] = {}
-    for predicate in idb_predicates:
-        tuples = set(database.relation(predicate))
-        local = working.local.get(predicate)
-        if local:
-            for group in local.values():
-                if group.arity == 0:
-                    if group.keys:
-                        tuples.add(())
-                else:
-                    tuples.update(
-                        zip(*[map(values.__getitem__, column) for column in group.columns])
-                    )
-        if tuples:
-            relations[predicate] = tuples
-    return Database.adopt(relations)
+    entries = []
+    for rule in stratum.rules:
+        batch = plan.kernel(rule).batch_kernel()
+        static, variants = batch.sequences(table)
+        entries.append(
+            (
+                rule.head.predicate,
+                batch.head_arity,
+                static,
+                tuple(
+                    (position, rule.body[position].predicate, variants[position])
+                    for position in batch.kernel.delta_positions
+                ),
+            )
+        )
+    return tuple(entries)
 
 
-# ----------------------------------------------------------------------
-# Fixpoint drivers (mirror engine/seminaive.py and engine/naive.py)
-# ----------------------------------------------------------------------
-def _load_facts_seminaive(program, working, statistics):
-    fact_rules, _ = split_rules(program)
-    for rule in fact_rules:
-        statistics.record_firing()
-        is_new = working.add_fact_row(rule.head.predicate, rule.head.as_fact_tuple())
-        statistics.record_fact(rule.head.predicate, is_new)
+def round_sequences(rules, delta, statistics, guard):
+    """One round's ``(head, head arity, sequence)`` firings, in schedule order:
+    every rule's static sequence when *delta* is ``None``, else the delta
+    variants whose body predicate has a delta.  An armed *guard* is checkpointed
+    before each rule, so even a single enormous round stays cancellable."""
+    delta_predicates = None if delta is None else set(delta)
+    for head, head_arity, static, variants in rules:
+        if guard is not None:
+            guard.checkpoint(statistics)
+        if delta is None:
+            yield head, head_arity, static
+            continue
+        for _position, body_predicate, sequence in variants:
+            if body_predicate in delta_predicates:
+                yield head, head_arity, sequence
 
 
-def _stratum_kernels(plan, stratum):
-    return [(rule, plan.kernel(rule).batch_kernel()) for rule in stratum.rules]
+class PackedLane:
+    """The packed-bigint lane of :mod:`repro.datalog.engine.fixpoint`.
 
+    The working state is lane-private columnar rows over the input
+    database's read-only mirror, so aborts leave the database untouched.
+    """
 
-def _head_arities(plan) -> Dict[str, Set[int]]:
-    arities: Dict[str, Set[int]] = {}
-    for stratum in plan.strata:
-        for rule in stratum.rules:
-            arities.setdefault(rule.head.predicate, set()).add(len(rule.head.terms))
-    return arities
+    def __init__(self, database, plan, statistics, guard=None):
+        self.database = database
+        self.plan = plan
+        self.statistics = statistics
+        self.guard = guard
+        self.working = _BatchWorking(database)
+        self.add_fact = self.working.add_fact_row
+
+    def begin_stratum(self, stratum):
+        return lower_stratum(self.plan, stratum, self.working.table)
+
+    def fire(self, rules, delta):
+        working, statistics = self.working, self.statistics
+        buckets: Dict[str, set] = {}
+        for head, head_arity, sequence in round_sequences(rules, delta, statistics, self.guard):
+            bucket = buckets.setdefault(head, set())
+            existing = working.key_sets(head, head_arity)
+            firings, new = _run_sequence(sequence, working, delta, bucket, existing)
+            statistics.record_batch(head, firings, new)
+        return buckets
+
+    def commit(self, buckets):
+        delta, _, added = _commit(self.working, buckets)
+        return delta, added
+
+    def decode(self, idb_predicates) -> Database:
+        # Like the tuple lane's ``working.restrict(idb_predicates)``: the
+        # input database's relations under IDB names ride along, and only
+        # non-empty relations appear.
+        working, database = self.working, self.database
+        values = working.table.values()
+        relations: Dict[str, Set[Tuple]] = {}
+        for predicate in idb_predicates:
+            tuples = set(database.relation(predicate))
+            local = working.local.get(predicate)
+            if local:
+                for group in local.values():
+                    if group.arity == 0:
+                        if group.keys:
+                            tuples.add(())
+                    else:
+                        tuples.update(
+                            zip(*[map(values.__getitem__, column) for column in group.columns])
+                        )
+            if tuples:
+                relations[predicate] = tuples
+        return Database.adopt(relations)
 
 
 def evaluate_seminaive(
-    program, database, plan, statistics, max_iterations: Optional[int], guard=None,
-    workers: int = 1,
+    program, database, plan, statistics, max_iterations: Optional[int], guard=None
 ) -> EvaluationResult:
-    """The semi-naive fixpoint over columnar state (statistics-identical).
+    """The semi-naive fixpoint on the packed-bigint lane (any head arity).
 
-    Dispatches to the NumPy vector lane when the program's head relations
-    fit 64-bit packed keys (see :mod:`repro.datalog.columnar.vector`);
-    otherwise runs the packed-bigint lane below, which handles any arity.
-    With ``workers > 1``, programs off the vector lane route through the
-    process-sharded driver (:mod:`repro.datalog.columnar.shard`), which
-    partitions each recursive round's delta across forked workers —
-    vector-eligible programs stay on the (already C-speed) vector lane,
-    serial, where cross-process sharding cannot pay for itself.
-    An armed *guard* is checkpointed at every round boundary and between
-    kernel batches, so even a single enormous round stays cancellable; the
-    working state is lane-private, so aborts leave *database* untouched.
+    Lane selection happens before this is reached
+    (:func:`repro.datalog.engine.fixpoint.select_lane`); *plan* must be one
+    :func:`plan_supported` accepts.
     """
-    from repro.datalog.columnar import shard, vector
-
-    if workers > 1 and shard.applicable(plan, database, program, workers):
-        return shard.evaluate_seminaive_sharded(
-            program, database, plan, statistics, max_iterations,
-            guard=guard, workers=workers,
-        )
-    if vector.supported(plan, database.columnar_store().table, program):
-        return vector.evaluate_seminaive(
-            program, database, plan, statistics, max_iterations, guard=guard
-        )
-    idb_predicates = program.idb_predicates()
-    working = _BatchWorking(database)
-    _load_facts_seminaive(program, working, statistics)
-
-    def check_budget() -> None:
-        if guard is not None:
-            guard.checkpoint(statistics)
-        if max_iterations is not None and statistics.iterations > max_iterations:
-            raise EvaluationError(
-                f"semi-naive evaluation exceeded {max_iterations} iterations"
-            )
-
-    head_arities = _head_arities(plan)
-    for stratum in plan.strata:
-        statistics.record_stratum()
-        label = stratum.label
-        kernels = _stratum_kernels(plan, stratum)
-
-        statistics.record_iteration(label)
-        check_budget()
-        buckets: Dict[str, set] = {}
-        for rule, batch in kernels:
-            if guard is not None:
-                guard.checkpoint(statistics)
-            bucket = buckets.setdefault(rule.head.predicate, set())
-            _fire_static(batch, working, bucket, statistics)
-        delta, added = _commit(working, buckets, head_arities, build_delta=True)
-
-        if not stratum.recursive:
-            continue
-
-        while added:
-            statistics.record_iteration(label)
-            check_budget()
-            buckets = {}
-            delta_predicates = set(delta)
-            for rule, batch in kernels:
-                if guard is not None:
-                    guard.checkpoint(statistics)
-                bucket = buckets.setdefault(rule.head.predicate, set())
-                _fire_delta(
-                    batch, rule, working, delta, delta_predicates, bucket, statistics
-                )
-            delta, added = _commit(working, buckets, head_arities, build_delta=True)
-
-    idb_facts = _decode_idb(working, database, idb_predicates)
-    return EvaluationResult(program, database, idb_facts, statistics)
-
-
-def evaluate_naive(
-    program, database, plan, statistics, max_iterations: Optional[int], guard=None,
-    workers: int = 1,
-) -> EvaluationResult:
-    """The naive fixpoint over columnar state (statistics-identical).
-
-    Same lane dispatch — and same guard checkpoints — as
-    :func:`evaluate_seminaive`.  ``workers`` is accepted for interface
-    symmetry but the naive lane always runs serial: without deltas there
-    is no small per-round unit of work to shard.
-    """
-    from repro.datalog.columnar import vector
-
-    if vector.supported(plan, database.columnar_store().table, program):
-        return vector.evaluate_naive(
-            program, database, plan, statistics, max_iterations, guard=guard
-        )
-    working = _BatchWorking(database)
-    fact_rules, _ = split_rules(program)
-    for rule in fact_rules:
-        is_new = working.add_fact_row(rule.head.predicate, rule.head.as_fact_tuple())
-        statistics.record_firing()
-        statistics.record_fact(rule.head.predicate, is_new)
-
-    head_arities = _head_arities(plan)
-    for stratum in plan.strata:
-        statistics.record_stratum()
-        kernels = _stratum_kernels(plan, stratum)
-        changed = True
-        while changed:
-            statistics.record_iteration(stratum.label)
-            if guard is not None:
-                guard.checkpoint(statistics)
-            if max_iterations is not None and statistics.iterations > max_iterations:
-                raise EvaluationError(
-                    f"naive evaluation exceeded {max_iterations} iterations"
-                )
-            buckets: Dict[str, set] = {}
-            for rule, batch in kernels:
-                if guard is not None:
-                    guard.checkpoint(statistics)
-                bucket = buckets.setdefault(rule.head.predicate, set())
-                _fire_static(batch, working, bucket, statistics)
-            _, added = _commit(working, buckets, head_arities, build_delta=False)
-            changed = added > 0
-            if not stratum.recursive:
-                break
-
-    idb_facts = _decode_idb(working, database, program.idb_predicates())
-    return EvaluationResult(program, database, idb_facts, statistics)
+    return run(PackedLane(database, plan, statistics, guard), program, database, max_iterations)

@@ -58,6 +58,19 @@ def unpack_key(key: int, arity: int) -> Tuple[int, ...]:
     return tuple(codes)
 
 
+def unpack_columns(keys: Sequence[int], arity: int) -> Tuple[array, ...]:
+    """The code columns behind packed *keys* of one arity, row-aligned.
+
+    Columns come back as ``array('q')`` — the relation's own storage type,
+    so :meth:`ColumnarRelation.extend_columns` appends them as a block
+    copy and a sharded round pickles them as flat buffers.
+    """
+    return tuple(
+        array("q", [(key >> shift) & _KEY_MASK for key in keys])
+        for shift in range(KEY_BITS * (arity - 1), -1, -KEY_BITS)
+    )
+
+
 class ColumnarRelation:
     """Append-only columnar rows of one predicate at one arity."""
 

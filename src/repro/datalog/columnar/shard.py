@@ -70,24 +70,19 @@ from concurrent.futures import TimeoutError as _FutureTimeout
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.datalog.columnar.batch import (
+    PackedLane,
     _BatchAntiStep,
     _BatchLeaf,
     _BatchStep,
     _BatchWorking,
-    _decode_idb,
-    _fire_delta,
-    _fire_static,
-    _head_arities,
-    _load_facts_seminaive,
+    _commit,
     _run_sequence,
-    _stratum_kernels,
-    plan_supported,
+    lower_stratum,
 )
-from repro.datalog.columnar.relation import KEY_BITS, ColumnarRelation
+from repro.datalog.columnar.relation import ColumnarRelation, unpack_columns
 from repro.datalog.engine.base import EvaluationResult
+from repro.datalog.engine.fixpoint import run
 from repro.errors import EvaluationError
-
-_KEY_MASK = (1 << KEY_BITS) - 1
 
 #: Delta rows below which a round runs in-driver: the ~ms of pickling and
 #: queue latency per process round-trip outweighs firing a small delta
@@ -162,52 +157,16 @@ def available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
-def applicable(plan, database, program, workers: int) -> bool:
-    """Whether the sharded driver should take this evaluation.
+def applicable(plan, workers: int) -> bool:
+    """Whether the sharded lane accepts a semi-naive run of *plan*.
 
-    Requires ``workers > 1``, fork support, a fully-compiled plan with at
-    least one recursive stratum — and a program *off* the NumPy vector
-    lane: vector rounds are already C-speed, too cheap for cross-process
-    sharding to amortize, so vector-eligible programs stay on it, serial.
+    Requires ``workers > 1``, fork support and at least one recursive
+    stratum.  The other two conditions — a fully-compiled plan, and a
+    program *off* the NumPy vector lane, whose rounds are too cheap for
+    cross-process sharding to amortize — are established before this is
+    asked, by :func:`repro.datalog.engine.fixpoint.select_lane`.
     """
-    from repro.datalog.columnar import vector
-
-    if workers <= 1 or not available():
-        return False
-    if not plan_supported(plan):
-        return False
-    if not any(stratum.recursive for stratum in plan.strata):
-        return False
-    if vector.supported(plan, database.columnar_store().table, program):
-        return False
-    return True
-
-
-def _lowered_rules(plan, working: _BatchWorking):
-    """Pre-lower every kernel (interning all constants now, pre-fork).
-
-    Returns ``{stratum index: ((head, head_arity, ((position, body
-    predicate, sequence), ...)), ...)}`` — the per-variant firing schedule
-    both the workers and the driver's merge replay in identical order.
-    """
-    rules: Dict[int, Tuple] = {}
-    for stratum in plan.strata:
-        entries = []
-        for rule in stratum.rules:
-            batch = plan.kernel(rule).batch_kernel()
-            _, variants = batch.sequences(working.table)
-            entries.append(
-                (
-                    rule.head.predicate,
-                    batch.head_arity,
-                    tuple(
-                        (position, rule.body[position].predicate, variants[position])
-                        for position in batch.kernel.delta_positions
-                    ),
-                )
-            )
-        rules[stratum.index] = tuple(entries)
-    return rules
+    return workers > 1 and available() and any(stratum.recursive for stratum in plan.strata)
 
 
 def _probed_predicates(rules) -> Set[str]:
@@ -223,7 +182,7 @@ def _probed_predicates(rules) -> Set[str]:
     """
     probed: Set[str] = set()
     for entries in rules.values():
-        for _head, _head_arity, variants in entries:
+        for _head, _head_arity, _static, variants in entries:
             for _position, _body, sequence in variants:
                 for step in sequence.steps:
                     if type(step) is _BatchStep and not step.use_delta:
@@ -243,7 +202,7 @@ def _anti_predicates(rules) -> Set[str]:
     """
     anti: Set[str] = set()
     for entries in rules.values():
-        for _head, _head_arity, variants in entries:
+        for _head, _head_arity, _static, variants in entries:
             for _position, _body, sequence in variants:
                 for step in sequence.steps:
                     if type(step) is _BatchAntiStep:
@@ -304,48 +263,7 @@ def _decomposable_strata(plan, probed: Set[str], anti: Set[str]) -> Dict[int, in
     return decomposable
 
 
-def _commit_with_payload(working: _BatchWorking, buckets, head_arities):
-    """:func:`batch._commit`, plus a picklable payload of the fresh rows.
-
-    The payload entries are ``(predicate, arity, columns, keys)``, keys
-    aligned row-for-row with the columns — exactly what a worker needs to
-    sync its view and build its shard's delta.  Columns are ``array('q')``
-    (the relation's own storage type), which pickles as one flat byte
-    buffer instead of per-element ints.
-    """
-    delta: Dict[str, Dict[int, ColumnarRelation]] = {}
-    payload: List[Tuple[str, int, List[array], List[int]]] = []
-    added = 0
-    for predicate, bucket in buckets.items():
-        if not bucket:
-            continue
-        keys_list = list(bucket)
-        arities = head_arities.get(predicate)
-        per_arity: Dict[int, List[int]] = {}
-        if arities is not None and len(arities) == 1:
-            (arity,) = arities
-            per_arity[arity] = keys_list
-        else:
-            for key in keys_list:
-                arity = (key.bit_length() - 1) // KEY_BITS if key else 0
-                per_arity.setdefault(arity, []).append(key)
-        groups: Dict[int, ColumnarRelation] = {}
-        for arity, keys in per_arity.items():
-            columns = [
-                array("q", [(key >> shift) & _KEY_MASK for key in keys])
-                for shift in (KEY_BITS * (arity - 1 - j) for j in range(arity))
-            ]
-            working.local_group(predicate, arity).extend_columns(columns, keys)
-            group = ColumnarRelation(arity)
-            group.extend_columns(columns, keys)
-            groups[arity] = group
-            payload.append((predicate, arity, columns, keys))
-        delta[predicate] = groups
-        added += len(keys_list)
-    return delta, payload, added
-
-
-def _commit_merged(working: _BatchWorking, buckets, head_arities, clean):
+def _commit_merged(working: _BatchWorking, buckets, clean):
     """Commit a sharded round, concatenating pre-unpacked shard columns.
 
     Workers unpack their fresh keys into columns before returning, so for
@@ -353,52 +271,23 @@ def _commit_merged(working: _BatchWorking, buckets, head_arities, clean):
     and no cross-shard duplicates, which the merge detects by comparing
     set sizes — the commit is pure C-speed ``array.extend`` of the shard
     pieces.  Heads that saw cross-shard duplicates or multiple
-    contributing variants fall back to the driver-side unpack (the shard
-    pieces are stale there: they still contain the subtracted rows).
+    contributing variants take the packed lane's driver-side unpack (the
+    shard pieces are stale there: they still contain the subtracted rows).
     """
-    delta: Dict[str, Dict[int, ColumnarRelation]] = {}
-    payload: List[Tuple[str, int, Tuple[array, ...], List[int]]] = []
-    added = 0
-    for predicate, bucket in buckets.items():
-        if not bucket:
-            continue
-        pieces = clean.get(predicate)
-        if pieces is not None:
-            groups: Dict[int, ColumnarRelation] = {}
-            for arity, keys, columns in pieces:
-                working.local_group(predicate, arity).extend_columns(columns, keys)
-                group = groups.get(arity)
-                if group is None:
-                    group = groups[arity] = ColumnarRelation(arity)
-                group.extend_columns(columns, keys)
-                payload.append((predicate, arity, columns, keys))
-                added += len(keys)
-            delta[predicate] = groups
-            continue
-        keys_list = list(bucket)
-        arities = head_arities.get(predicate)
-        per_arity: Dict[int, List[int]] = {}
-        if arities is not None and len(arities) == 1:
-            (arity,) = arities
-            per_arity[arity] = keys_list
-        else:
-            for key in keys_list:
-                arity = (key.bit_length() - 1) // KEY_BITS if key else 0
-                per_arity.setdefault(arity, []).append(key)
-        groups = {}
-        for arity, keys in per_arity.items():
-            columns = tuple(
-                array("q", [(key >> shift) & _KEY_MASK for key in keys])
-                for shift in (KEY_BITS * (arity - 1 - j) for j in range(arity))
-            )
+    delta, entries, added = _commit(
+        working, {head: bucket for head, bucket in buckets.items() if head not in clean}
+    )
+    for predicate, pieces in clean.items():
+        groups = delta[predicate] = {}
+        for arity, keys, columns in pieces:
             working.local_group(predicate, arity).extend_columns(columns, keys)
-            group = ColumnarRelation(arity)
+            group = groups.get(arity)
+            if group is None:
+                group = groups[arity] = ColumnarRelation(arity)
             group.extend_columns(columns, keys)
-            groups[arity] = group
-            payload.append((predicate, arity, columns, keys))
-        delta[predicate] = groups
-        added += len(keys_list)
-    return delta, payload, added
+            entries.append((predicate, arity, columns, keys))
+            added += len(keys)
+    return delta, entries, added
 
 
 # ----------------------------------------------------------------------
@@ -510,7 +399,7 @@ def _worker_round(
     cancel = state.cancel
     out: List[Tuple[int, int, int, List[int], Tuple[array, ...]]] = []
     retained: Dict[str, Dict[int, ColumnarRelation]] = {}
-    for index, (head, head_arity, variants) in enumerate(state.rules[stratum_index]):
+    for index, (head, head_arity, _static, variants) in enumerate(state.rules[stratum_index]):
         if cancel.is_set():
             raise ShardAborted("evaluation cancelled")
         existing = working.key_sets(head, head_arity)
@@ -520,10 +409,7 @@ def _worker_round(
             bucket: set = set()
             firings, _new = _run_sequence(sequence, working, delta, bucket, existing)
             keys = list(bucket)
-            columns = tuple(
-                array("q", [(key >> shift) & _KEY_MASK for key in keys])
-                for shift in (KEY_BITS * (head_arity - 1 - j) for j in range(head_arity))
-            )
+            columns = unpack_columns(keys, head_arity)
             out.append((index, position, firings, keys, columns))
             if retain != "off" and keys:
                 group = ColumnarRelation(head_arity)
@@ -538,6 +424,188 @@ def _worker_round(
 # ----------------------------------------------------------------------
 # Driver side
 # ----------------------------------------------------------------------
+class ShardedLane(PackedLane):
+    """The packed lane with process-sharded recursive delta rounds.
+
+    Static passes and delta rounds under :data:`MIN_SHARD_ROWS` fire
+    in-driver, exactly as on the packed lane; larger rounds are shipped
+    to ``workers`` forked shards and merged in serial order.  Every
+    commit is queued for the pools' next sync.
+    """
+
+    def __init__(self, database, plan, statistics, guard=None, workers: int = 2):
+        super().__init__(database, plan, statistics, guard)
+        self.workers = workers
+        # Every stratum's firing schedule, lowered (and so every constant
+        # interned) now, pre-fork: the workers and the driver's merge
+        # replay the same schedules in identical order.
+        self.rules = {
+            stratum.index: lower_stratum(plan, stratum, self.working.table)
+            for stratum in plan.strata
+        }
+        probed = _probed_predicates(self.rules)
+        self.decomposable = _decomposable_strata(plan, probed, _anti_predicates(self.rules))
+        self.context = multiprocessing.get_context("fork")
+        self.cancel = self.context.Event()
+        self.pools: List[ProcessPoolExecutor] = []
+        self.pending: List[List] = []
+        # The last commit's entries and row count: the next round's delta
+        # as the workers receive it, and the size that decides who fires it.
+        self.payload: List = []
+        self.added = 0
+        # Per-head shard pieces of a sharded round's clean heads; ``None``
+        # after an in-driver round.
+        self.clean: Optional[Dict[str, List]] = None
+        self.eval_id = next(_COUNTER)
+        _STATES[self.eval_id] = _ShardState(
+            _ShardWorking(self.working, probed), self.rules, self.cancel
+        )
+
+    def begin_stratum(self, stratum):
+        self.stratum_index = stratum.index
+        self.shard_column = self.decomposable.get(stratum.index)
+        self.retained_valid = False
+        return self.rules[stratum.index]
+
+    def fire(self, rules, delta):
+        if delta is None or self.added < MIN_SHARD_ROWS:
+            self.clean = None
+            return super().fire(rules, delta)
+        return self._fire_sharded(rules, delta)
+
+    def commit(self, buckets):
+        clean = self.clean
+        if clean is None:
+            delta, payload, added = _commit(self.working, buckets)
+            self.retained_valid = False
+        else:
+            delta, payload, added = _commit_merged(self.working, buckets, clean)
+        if clean is not None and self.shard_column is not None:
+            if any(bucket and head not in clean for head, bucket in buckets.items()):
+                raise EvaluationError(
+                    "decomposable stratum produced overlapping "
+                    f"shard outputs (stratum {self.stratum_index}); "
+                    "shard-closure analysis is unsound"
+                )
+            # Owner-computes: each worker already kept its own fresh rows
+            # as the next round's delta and folded the keys into its
+            # overlay, so nothing is shipped.
+            self.retained_valid = True
+        else:
+            for queue in self.pending:
+                queue.append(payload)
+        self.payload, self.added = payload, added
+        return delta, added
+
+    def close(self) -> None:
+        """Stop the workers and join the pools; whoever builds the lane calls it."""
+        self.cancel.set()
+        for pool in self.pools:
+            pool.shutdown(wait=True, cancel_futures=True)
+        _STATES.pop(self.eval_id, None)
+
+    def _ensure_pools(self) -> None:
+        """Fork the shard workers now, snapshotting the current working set."""
+        if self.pools:
+            return
+        for _ in range(self.workers):
+            self.pools.append(ProcessPoolExecutor(max_workers=1, mp_context=self.context))
+            self.pending.append([])
+        # The executor forks lazily on first submit; ping each pool so the
+        # snapshot is pinned *here*, before the driver mutates further.
+        for pool in self.pools:
+            pool.submit(_ping, self.eval_id).result()
+
+    def _wait_result(self, future):
+        """Block on a shard future, checkpointing the guard while waiting."""
+        while True:
+            try:
+                return future.result(timeout=_WAIT_SLICE)
+            except _FutureTimeout:
+                if self.guard is not None:
+                    self.guard.checkpoint(self.statistics)
+
+    def _fire_sharded(self, rules, delta):
+        """Ship one delta round to the shards; merge their buckets serially."""
+        statistics, guard = self.statistics, self.guard
+        self._ensure_pools()
+        shard_column = self.shard_column
+        if shard_column is None:
+            retain = "off"
+        elif self.retained_valid:
+            retain = "use"
+        else:
+            retain = "seed"
+        round_payload = [] if retain == "use" else self.payload
+        delta_predicates = set(delta)
+        futures = []
+        for shard, pool in enumerate(self.pools):
+            sync = self.pending[shard]
+            self.pending[shard] = []
+            futures.append(
+                pool.submit(
+                    _worker_round,
+                    self.eval_id, self.stratum_index, sync, round_payload,
+                    sorted(delta_predicates), shard, len(self.pools),
+                    0 if shard_column is None else shard_column,
+                    retain,
+                )
+            )
+        shard_maps = [
+            {
+                (index, position): (firings, keys, columns)
+                for index, position, firings, keys, columns in self._wait_result(future)
+            }
+            for future in futures
+        ]
+        # Serial-order merge: replay the exact bookkeeping of the serial
+        # loop.  Shard fresh sets are already deduped against the
+        # round-start model (each worker's view); only the evolving
+        # bucket — same-round emissions of earlier variants/rules for this
+        # head — is subtracted here.  Skipping a redundant model-wide
+        # subtraction also means a desynced worker view fails parity
+        # loudly instead of being silently papered over.  A variant is
+        # *clean* when the bucket was empty and the shard fresh sets were
+        # pairwise disjoint (union size == sum of sizes); clean heads
+        # commit by concatenating the workers' pre-unpacked columns.
+        buckets: Dict[str, set] = {}
+        clean: Dict[str, List[Tuple[int, List[int], Tuple]]] = {}
+        dirty: Set[str] = set()
+        for index, (head, head_arity, _static, variants) in enumerate(rules):
+            if guard is not None:
+                guard.checkpoint(statistics)
+            bucket = buckets.setdefault(head, set())
+            for position, body_predicate, _sequence in variants:
+                if body_predicate not in delta_predicates:
+                    continue
+                firings = 0
+                total = 0
+                fresh: set = set()
+                pieces: List[Tuple[int, List[int], Tuple]] = []
+                for shard_map in shard_maps:
+                    shard_firings, keys, columns = shard_map[(index, position)]
+                    firings += shard_firings
+                    if keys:
+                        total += len(keys)
+                        fresh.update(keys)
+                        pieces.append((head_arity, keys, columns))
+                if bucket:
+                    fresh.difference_update(bucket)
+                    clean_variant = False
+                else:
+                    clean_variant = len(fresh) == total
+                statistics.record_batch(head, firings, len(fresh))
+                if fresh:
+                    bucket |= fresh
+                    if clean_variant and head not in dirty:
+                        clean.setdefault(head, []).extend(pieces)
+                    else:
+                        dirty.add(head)
+                        clean.pop(head, None)
+        self.clean = clean
+        return buckets
+
+
 def evaluate_seminaive_sharded(
     program,
     database,
@@ -549,215 +617,22 @@ def evaluate_seminaive_sharded(
 ) -> EvaluationResult:
     """The semi-naive fixpoint with process-sharded recursive rounds.
 
-    Mirrors :func:`repro.datalog.columnar.batch.evaluate_seminaive` round
-    for round; only the delta firing of large recursive rounds is farmed
-    out to ``workers`` forked shards.  Model and statistics are identical
-    to the serial lane's.
+    The same loop as every other lane
+    (:func:`repro.datalog.engine.fixpoint.run`) with a different delta
+    step; model and statistics are identical to the serial packed lane's.
+    The lane is closed on every exit, so an abort joins the pools.
     """
-    idb_predicates = program.idb_predicates()
-    working = _BatchWorking(database)
-    _load_facts_seminaive(program, working, statistics)
-
-    def check_budget() -> None:
-        if guard is not None:
-            guard.checkpoint(statistics)
-        if max_iterations is not None and statistics.iterations > max_iterations:
-            raise EvaluationError(
-                f"semi-naive evaluation exceeded {max_iterations} iterations"
-            )
-
-    head_arities = _head_arities(plan)
-    rules = _lowered_rules(plan, working)
-    probed = _probed_predicates(rules)
-    decomposable = _decomposable_strata(plan, probed, _anti_predicates(rules))
-    context = multiprocessing.get_context("fork")
-    cancel = context.Event()
-    eval_id = next(_COUNTER)
-    _STATES[eval_id] = _ShardState(_ShardWorking(working, probed), rules, cancel)
-    pools: List[ProcessPoolExecutor] = []
-    pending: List[List] = []
-
-    def ensure_pools() -> None:
-        """Fork the shard workers now, snapshotting the current working set."""
-        if pools:
-            return
-        for _ in range(workers):
-            pool = ProcessPoolExecutor(max_workers=1, mp_context=context)
-            pools.append(pool)
-            pending.append([])
-        # The executor forks lazily on first submit; ping each pool so the
-        # snapshot is pinned *here*, before the driver mutates further.
-        for pool in pools:
-            pool.submit(_ping, eval_id).result()
-
-    def wait_result(future):
-        """Block on a shard future, checkpointing the guard while waiting."""
-        while True:
-            try:
-                return future.result(timeout=_WAIT_SLICE)
-            except _FutureTimeout:
-                if guard is not None:
-                    guard.checkpoint(statistics)
-
+    lane = ShardedLane(database, plan, statistics, guard, workers)
     try:
-        for stratum in plan.strata:
-            statistics.record_stratum()
-            label = stratum.label
-            kernels = _stratum_kernels(plan, stratum)
-            entries = rules[stratum.index]
-            shard_column = decomposable.get(stratum.index)
-            retained_valid = False
-
-            statistics.record_iteration(label)
-            check_budget()
-            buckets: Dict[str, set] = {}
-            for rule, batch in kernels:
-                if guard is not None:
-                    guard.checkpoint(statistics)
-                bucket = buckets.setdefault(rule.head.predicate, set())
-                _fire_static(batch, working, bucket, statistics)
-            delta, payload, added = _commit_with_payload(working, buckets, head_arities)
-            for queue in pending:
-                queue.append(payload)
-
-            if not stratum.recursive:
-                continue
-
-            while added:
-                statistics.record_iteration(label)
-                check_budget()
-                delta_predicates = set(delta)
-                if added < MIN_SHARD_ROWS:
-                    # Small round: fire in-driver (identical to the serial
-                    # lane); the commit below still syncs it to the pools.
-                    buckets = {}
-                    for rule, batch in kernels:
-                        if guard is not None:
-                            guard.checkpoint(statistics)
-                        bucket = buckets.setdefault(rule.head.predicate, set())
-                        _fire_delta(
-                            batch, rule, working, delta, delta_predicates,
-                            bucket, statistics,
-                        )
-                else:
-                    ensure_pools()
-                    if shard_column is None:
-                        retain = "off"
-                    elif retained_valid:
-                        retain = "use"
-                    else:
-                        retain = "seed"
-                    round_payload = [] if retain == "use" else payload
-                    futures = []
-                    for shard, pool in enumerate(pools):
-                        sync = pending[shard]
-                        pending[shard] = []
-                        futures.append(
-                            pool.submit(
-                                _worker_round,
-                                eval_id, stratum.index, sync, round_payload,
-                                sorted(delta_predicates), shard, len(pools),
-                                0 if shard_column is None else shard_column,
-                                retain,
-                            )
-                        )
-                    shard_maps = []
-                    for future in futures:
-                        shard_maps.append(
-                            {
-                                (index, position): (firings, keys, columns)
-                                for index, position, firings, keys, columns
-                                in wait_result(future)
-                            }
-                        )
-                    # Serial-order merge: replay the exact bookkeeping of
-                    # the serial loop.  Shard fresh sets are already deduped
-                    # against the round-start model (each worker's view);
-                    # only the evolving bucket — same-round emissions of
-                    # earlier variants/rules for this head — is subtracted
-                    # here.  Skipping a redundant model-wide subtraction
-                    # also means a desynced worker view fails parity loudly
-                    # instead of being silently papered over.  A variant is
-                    # *clean* when the bucket was empty and the shard fresh
-                    # sets were pairwise disjoint (union size == sum of
-                    # sizes); clean heads commit by concatenating the
-                    # workers' pre-unpacked columns.
-                    buckets = {}
-                    clean: Dict[str, List[Tuple[int, List[int], Tuple]]] = {}
-                    dirty: Set[str] = set()
-                    for index, (head, head_arity, variants) in enumerate(entries):
-                        if guard is not None:
-                            guard.checkpoint(statistics)
-                        bucket = buckets.setdefault(head, set())
-                        for position, body_predicate, _sequence in variants:
-                            if body_predicate not in delta_predicates:
-                                continue
-                            firings = 0
-                            total = 0
-                            fresh: set = set()
-                            pieces: List[Tuple[int, List[int], Tuple]] = []
-                            for shard_map in shard_maps:
-                                shard_firings, keys, columns = shard_map[
-                                    (index, position)
-                                ]
-                                firings += shard_firings
-                                if keys:
-                                    total += len(keys)
-                                    fresh.update(keys)
-                                    pieces.append((head_arity, keys, columns))
-                            if bucket:
-                                fresh.difference_update(bucket)
-                                clean_variant = False
-                            else:
-                                clean_variant = len(fresh) == total
-                            statistics.record_batch(head, firings, len(fresh))
-                            if fresh:
-                                bucket |= fresh
-                                if clean_variant and head not in dirty:
-                                    clean.setdefault(head, []).extend(pieces)
-                                else:
-                                    dirty.add(head)
-                                    clean.pop(head, None)
-                    delta, payload, added = _commit_merged(
-                        working, buckets, head_arities, clean
-                    )
-                    if shard_column is not None:
-                        if dirty or any(
-                            bucket and head not in clean
-                            for head, bucket in buckets.items()
-                        ):
-                            raise EvaluationError(
-                                "decomposable stratum produced overlapping "
-                                f"shard outputs (stratum {stratum.index}); "
-                                "shard-closure analysis is unsound"
-                            )
-                        # Owner-computes: each worker already kept its own
-                        # fresh rows as the next round's delta and folded
-                        # the keys into its overlay, so nothing is shipped.
-                        retained_valid = True
-                    else:
-                        for queue in pending:
-                            queue.append(payload)
-                    continue
-                delta, payload, added = _commit_with_payload(
-                    working, buckets, head_arities
-                )
-                for queue in pending:
-                    queue.append(payload)
-                retained_valid = False
+        return run(lane, program, database, max_iterations)
     finally:
-        cancel.set()
-        for pool in pools:
-            pool.shutdown(wait=True, cancel_futures=True)
-        _STATES.pop(eval_id, None)
-
-    idb_facts = _decode_idb(working, database, idb_predicates)
-    return EvaluationResult(program, database, idb_facts, statistics)
+        lane.close()
 
 
 __all__ = [
     "MIN_SHARD_ROWS",
     "ShardAborted",
+    "ShardedLane",
     "applicable",
     "available",
     "evaluate_seminaive_sharded",

@@ -43,13 +43,19 @@ except ImportError:  # pragma: no cover - exercised only on numpy-less installs
     np = None
 
 from repro.datalog.atoms import NegatedAtom
-from repro.datalog.columnar.batch import _BatchAntiStep, _EmitLeaf
+from repro.datalog.columnar.batch import (
+    _BatchAntiStep,
+    _EmitLeaf,
+    _step_parts,
+    lower_stratum,
+    round_sequences,
+)
 from repro.datalog.columnar.decode import LazyDecodedDatabase
 from repro.datalog.columnar.relation import KEY_BITS, ColumnarRelation, pack_codes
 from repro.datalog.database import Database
-from repro.datalog.engine.base import EvaluationResult, split_rules
+from repro.datalog.engine.base import EvaluationResult
 from repro.datalog.engine.executor import PROBE_CONST, PROBE_SCAN, PROBE_SLOT
-from repro.errors import EvaluationError
+from repro.datalog.engine.fixpoint import run
 
 _KEY_MASK = (1 << KEY_BITS) - 1
 _UNSET = object()
@@ -305,8 +311,7 @@ class _VectorWorking:
         "local",
         "_parts",
         "_member",
-        "_fact_rows",
-        "_fact_keys",
+        "facts",
     )
 
     def __init__(self, database):
@@ -316,10 +321,9 @@ class _VectorWorking:
         self._parts: Dict[Tuple[str, int], tuple] = {}
         # (predicate, arity) -> (bitmap, base_dim) | None (fallback dedup).
         self._member: Dict[Tuple[str, int], Optional[tuple]] = {}
-        # Fact-rule rows accumulate in plain lists and seal into ndarray
-        # chunks before the fixpoint starts.
-        self._fact_rows: Dict[Tuple[str, int], Tuple[List, ...]] = {}
-        self._fact_keys: Dict[Tuple[str, int], set] = {}
+        # Rows loaded from fact rules: one more read-only part per
+        # (predicate, arity), complete before the first stratum runs.
+        self.facts: Dict[Tuple[str, int], ColumnarRelation] = {}
 
     def parts(self, predicate: str, arity: int) -> tuple:
         cached = self._parts.get((predicate, arity))
@@ -329,9 +333,10 @@ class _VectorWorking:
                 for group in self.database.columnar_parts(predicate)
                 if group.arity == arity
             ]
-            local = self.local.get((predicate, arity))
-            if local is not None:
-                groups.append(local)
+            for extra in (self.facts, self.local):
+                group = extra.get((predicate, arity))
+                if group is not None:
+                    groups.append(group)
             cached = self._parts[(predicate, arity)] = tuple(groups)
         return cached
 
@@ -384,47 +389,15 @@ class _VectorWorking:
         """One ground fact (the fact-rule loading path); returns is-new."""
         codes = [self.table.intern(value) for value in values]
         arity = len(codes)
-        seeded = pack_codes(codes)
+        key = pack_codes(codes)
         for part in self.database.columnar_parts(predicate):
-            if part.arity == arity and seeded in part.keys:
+            if part.arity == arity and key in part.keys:
                 return False
-        key = _unseed(seeded, arity)
-        seen = self._fact_keys.setdefault((predicate, arity), set())
-        if key in seen:
-            return False
-        seen.add(key)
-        rows = self._fact_rows.get((predicate, arity))
-        if rows is None:
-            rows = self._fact_rows[(predicate, arity)] = tuple([] for _ in range(arity))
-        for position, code in enumerate(codes):
-            rows[position].append(code)
-        return True
-
-    def seal_facts(self) -> None:
-        for (predicate, arity), rows in self._fact_rows.items():
-            group = self.group(predicate, arity)
-            if arity == 0:
-                group.append((), np.zeros(1, dtype=np.int64))
-                continue
-            cols = tuple(np.array(column, dtype=np.int64) for column in rows)
-            # Keys rebuilt from the columns so row order matches everywhere.
-            keys = cols[0].copy()
-            for position in range(1, arity):
-                keys <<= KEY_BITS
-                keys |= cols[position]
-            group.append(cols, keys)
-        self._fact_rows.clear()
-        self._fact_keys.clear()
-
-
-def _step_parts(step, working: _VectorWorking, delta):
-    if not step.use_delta:
-        return working.parts(step.predicate, step.arity)
-    groups = delta.get(step.predicate) if delta else None
-    if not groups:
-        return ()
-    part = groups.get(step.arity)
-    return (part,) if part is not None else ()
+        facts = self.facts.get((predicate, arity))
+        if facts is None:
+            facts = self.facts[(predicate, arity)] = ColumnarRelation(arity)
+            self._parts.pop((predicate, arity), None)
+        return facts.append_rows([codes]) == 1
 
 
 # ----------------------------------------------------------------------
@@ -692,9 +665,7 @@ def _dedup(working, predicate: str, arity: int, emitted, bucket: List):
 # ----------------------------------------------------------------------
 # Rule firing
 # ----------------------------------------------------------------------
-def _fire(batch, sequence, working, delta, buckets, statistics) -> None:
-    predicate = batch.kernel.rule.head.predicate
-    arity = batch.head_arity
+def _fire(predicate, arity, sequence, working, delta, buckets, statistics) -> None:
     emitted, firings = _run_sequence(sequence, working, delta, arity)
     if emitted is None:
         statistics.record_batch(predicate, 0, 0)
@@ -707,169 +678,78 @@ def _fire(batch, sequence, working, delta, buckets, statistics) -> None:
     statistics.record_batch(predicate, int(firings), int(new))
 
 
-def _fire_static(batch, working, buckets, statistics) -> None:
-    static, _ = batch.sequences(working.table)
-    _fire(batch, static, working, None, buckets, statistics)
+# ----------------------------------------------------------------------
+# The lane
+# ----------------------------------------------------------------------
+class VectorLane:
+    """The NumPy lane of :mod:`repro.datalog.engine.fixpoint` (working state
+    is lane-private, as on :class:`~repro.datalog.columnar.batch.PackedLane`)."""
 
+    def __init__(self, database, plan, statistics, guard=None):
+        self.database = database
+        self.plan = plan
+        self.statistics = statistics
+        self.guard = guard
+        self.working = _VectorWorking(database)
+        self.add_fact = self.working.add_fact
 
-def _fire_delta(batch, rule, working, delta, delta_predicates, buckets, statistics):
-    _, variants = batch.sequences(working.table)
-    for position in batch.kernel.delta_positions:
-        if rule.body[position].predicate not in delta_predicates:
-            continue
-        _fire(batch, variants[position], working, delta, buckets, statistics)
+    def begin_stratum(self, stratum):
+        return lower_stratum(self.plan, stratum, self.working.table)
 
+    def fire(self, rules, delta):
+        working, statistics = self.working, self.statistics
+        buckets: Dict[Tuple[str, int], List] = {}
+        for head, head_arity, sequence in round_sequences(rules, delta, statistics, self.guard):
+            _fire(head, head_arity, sequence, working, delta, buckets, statistics)
+        return buckets
 
-def _commit(working: _VectorWorking, buckets, build_delta: bool):
-    """Append each bucket's fresh keys as columns; returns (delta, added)."""
-    delta: Dict[str, Dict[int, _DeltaPart]] = {}
-    added = 0
-    for (predicate, arity), chunks in buckets.items():
-        if not chunks:
-            continue
-        keys = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-        cols = tuple(
-            (keys >> (KEY_BITS * (arity - 1 - j))) & _KEY_MASK for j in range(arity)
-        )
-        working.group(predicate, arity).append(cols, keys)
-        if build_delta:
+    def commit(self, buckets):
+        working = self.working
+        delta: Dict[str, Dict[int, _DeltaPart]] = {}
+        added = 0
+        for (predicate, arity), chunks in buckets.items():
+            if not chunks:
+                continue
+            keys = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+            cols = tuple(
+                (keys >> (KEY_BITS * (arity - 1 - j))) & _KEY_MASK for j in range(arity)
+            )
+            working.group(predicate, arity).append(cols, keys)
             delta.setdefault(predicate, {})[arity] = _DeltaPart(arity, cols, keys)
-        added += len(keys)
-    return delta, added
+            added += len(keys)
+        return delta, added
 
+    def decode(self, idb_predicates) -> Database:
+        # The EDB contribution is snapshotted *now* (the input database may
+        # be mutated after the evaluation returns); the derived columns —
+        # the bulk of the model, already immutable — decode on first read.
+        working, database = self.working, self.database
+        relations: Dict[str, set] = {
+            predicate: set(database.relation(predicate)) for predicate in idb_predicates
+        }
 
-def _decode_idb(working: _VectorWorking, database, idb_predicates) -> Database:
-    """The IDB model as a database (mirrors working.restrict), decoded lazily.
+        def decode() -> Dict[str, set]:
+            values = np.fromiter(
+                working.table.values(), dtype=object, count=len(working.table)
+            )
+            for (predicate, arity), group in (*working.facts.items(), *working.local.items()):
+                if predicate not in relations or _part_len(group) == 0:
+                    continue
+                tuples = relations[predicate]
+                if arity == 0:
+                    tuples.add(())
+                    continue
+                object_cols = [
+                    values[_part_col(group, position)] for position in range(arity)
+                ]
+                tuples.update(zip(*[column.tolist() for column in object_cols]))
+            return {predicate: tuples for predicate, tuples in relations.items() if tuples}
 
-    The EDB contribution is snapshotted *now* (the input database may be
-    mutated after the evaluation returns); the derived columns — the bulk
-    of the model, already immutable — decode on first read.
-    """
-    relations: Dict[str, set] = {
-        predicate: set(database.relation(predicate)) for predicate in idb_predicates
-    }
-
-    def decode() -> Dict[str, set]:
-        values = np.fromiter(
-            working.table.values(), dtype=object, count=len(working.table)
-        )
-        for (predicate, arity), group in working.local.items():
-            if predicate not in relations or group.nrows == 0:
-                continue
-            tuples = relations[predicate]
-            if arity == 0:
-                tuples.add(())
-                continue
-            object_cols = [
-                values[_part_col(group, position)] for position in range(arity)
-            ]
-            tuples.update(zip(*[column.tolist() for column in object_cols]))
-        return {predicate: tuples for predicate, tuples in relations.items() if tuples}
-
-    return LazyDecodedDatabase.defer(decode)
-
-
-# ----------------------------------------------------------------------
-# Fixpoint drivers (mirror engine/seminaive.py and engine/naive.py)
-# ----------------------------------------------------------------------
-def _stratum_kernels(plan, stratum, table):
-    kernels = [(rule, plan.kernel(rule).batch_kernel()) for rule in stratum.rules]
-    # Lower every sequence up front: lowering interns head/body constants,
-    # and the dense dedup bitmaps size themselves from the intern table at
-    # first use — all of a stratum's codes must exist before any rule fires.
-    for _, batch in kernels:
-        batch.sequences(table)
-    return kernels
+        return LazyDecodedDatabase.defer(decode)
 
 
 def evaluate_seminaive(
     program, database, plan, statistics, max_iterations: Optional[int], guard=None
 ) -> EvaluationResult:
-    idb_predicates = program.idb_predicates()
-    working = _VectorWorking(database)
-
-    fact_rules, _ = split_rules(program)
-    for rule in fact_rules:
-        statistics.record_firing()
-        is_new = working.add_fact(rule.head.predicate, rule.head.as_fact_tuple())
-        statistics.record_fact(rule.head.predicate, is_new)
-    working.seal_facts()
-
-    def check_budget() -> None:
-        if guard is not None:
-            guard.checkpoint(statistics)
-        if max_iterations is not None and statistics.iterations > max_iterations:
-            raise EvaluationError(
-                f"semi-naive evaluation exceeded {max_iterations} iterations"
-            )
-
-    for stratum in plan.strata:
-        statistics.record_stratum()
-        label = stratum.label
-        kernels = _stratum_kernels(plan, stratum, working.table)
-
-        statistics.record_iteration(label)
-        check_budget()
-        buckets: Dict[Tuple[str, int], List] = {}
-        for rule, batch in kernels:
-            if guard is not None:
-                guard.checkpoint(statistics)
-            _fire_static(batch, working, buckets, statistics)
-        delta, added = _commit(working, buckets, build_delta=True)
-
-        if not stratum.recursive:
-            continue
-
-        while added:
-            statistics.record_iteration(label)
-            check_budget()
-            buckets = {}
-            delta_predicates = set(delta)
-            for rule, batch in kernels:
-                if guard is not None:
-                    guard.checkpoint(statistics)
-                _fire_delta(
-                    batch, rule, working, delta, delta_predicates, buckets, statistics
-                )
-            delta, added = _commit(working, buckets, build_delta=True)
-
-    idb_facts = _decode_idb(working, database, idb_predicates)
-    return EvaluationResult(program, database, idb_facts, statistics)
-
-
-def evaluate_naive(
-    program, database, plan, statistics, max_iterations: Optional[int], guard=None
-) -> EvaluationResult:
-    working = _VectorWorking(database)
-
-    fact_rules, _ = split_rules(program)
-    for rule in fact_rules:
-        is_new = working.add_fact(rule.head.predicate, rule.head.as_fact_tuple())
-        statistics.record_firing()
-        statistics.record_fact(rule.head.predicate, is_new)
-    working.seal_facts()
-
-    for stratum in plan.strata:
-        statistics.record_stratum()
-        kernels = _stratum_kernels(plan, stratum, working.table)
-        changed = True
-        while changed:
-            statistics.record_iteration(stratum.label)
-            if guard is not None:
-                guard.checkpoint(statistics)
-            if max_iterations is not None and statistics.iterations > max_iterations:
-                raise EvaluationError(
-                    f"naive evaluation exceeded {max_iterations} iterations"
-                )
-            buckets: Dict[Tuple[str, int], List] = {}
-            for rule, batch in kernels:
-                if guard is not None:
-                    guard.checkpoint(statistics)
-                _fire_static(batch, working, buckets, statistics)
-            _, added = _commit(working, buckets, build_delta=False)
-            changed = added > 0
-            if not stratum.recursive:
-                break
-
-    idb_facts = _decode_idb(working, database, program.idb_predicates())
-    return EvaluationResult(program, database, idb_facts, statistics)
+    """The semi-naive fixpoint on the vector lane; *plan* must be :func:`supported`."""
+    return run(VectorLane(database, plan, statistics, guard), program, database, max_iterations)

@@ -81,34 +81,34 @@ def depth_groups(strata: Sequence) -> List[List]:
 
 def evaluate_strata(
     plan,
-    working,
-    statistics: EvaluationStatistics,
+    lane,
     run_stratum: Callable,
     check_budget: Callable[[], None],
     *,
-    guard=None,
     max_iterations: Optional[int] = None,
     workers: int = 1,
     error_label: str = "semi-naive",
 ) -> None:
-    """Run every stratum of *plan* over *working*, threading same-depth groups.
+    """Run every stratum of *plan* on *lane*, threading same-depth groups.
 
-    *run_stratum* is the engine's serial stratum core with the signature
-    ``run_stratum(stratum, working, statistics, check_budget, collect)``;
-    ``collect`` (``None`` on the serial path) receives every tuple the
-    stratum derives, per predicate, so the driver can commit an overlay's
-    additions back into the shared working set.
+    *run_stratum* is the driver's serial stratum loop,
+    ``run_stratum(lane, stratum, check_budget)``.  With ``workers > 1``
+    each stratum of a same-depth group gets ``lane.overlay(statistics)`` —
+    a private lane over a copy-on-write view of the working set — and the
+    group's results are folded back with ``lane.absorb(child)``; only the
+    tuple lane offers the pair, so only it may be given ``workers > 1``.
     """
     if workers <= 1:
         for stratum in plan.strata:
-            run_stratum(stratum, working, statistics, check_budget, None)
+            run_stratum(lane, stratum, check_budget)
         return
 
+    statistics, guard = lane.statistics, lane.guard
     executor: Optional[ThreadPoolExecutor] = None
     try:
         for group in depth_groups(plan.strata):
             if len(group) == 1:
-                run_stratum(group[0], working, statistics, check_budget, None)
+                run_stratum(lane, group[0], check_budget)
                 continue
             if executor is None:
                 executor = ThreadPoolExecutor(
@@ -137,9 +137,9 @@ def evaluate_strata(
                             f"{max_iterations} iterations"
                         )
 
-                collect: Dict[str, set] = {}
-                run_stratum(stratum, working.overlay(), local, check, collect)
-                return local, collect
+                child = lane.overlay(local)
+                run_stratum(child, stratum, check)
+                return child
 
             futures = [executor.submit(job, stratum) for stratum in group]
             results: List = []
@@ -160,11 +160,9 @@ def evaluate_strata(
             # counters are sums and the per-label maps compare
             # order-insensitively, so the merged statistics are identical
             # to the serial pass's.
-            for outcome in results:
-                local, collect = outcome
-                statistics.absorb(local)
-                if collect:
-                    working.add_relations(collect)
+            for child in results:
+                statistics.absorb(child.statistics)
+                lane.absorb(child)
             check_budget()
     finally:
         if executor is not None:

@@ -99,29 +99,6 @@ class EvaluationStatistics:
                 self.iterations_per_stratum.get(stratum, 0) + count
             )
 
-    def merge(self, other: "EvaluationStatistics") -> "EvaluationStatistics":
-        """Combine two statistics objects (used when evaluation is staged)."""
-        merged = EvaluationStatistics(
-            iterations=self.iterations + other.iterations,
-            rule_firings=self.rule_firings + other.rule_firings,
-            facts_derived=self.facts_derived + other.facts_derived,
-            duplicate_derivations=self.duplicate_derivations + other.duplicate_derivations,
-            facts_per_predicate=dict(self.facts_per_predicate),
-            strata=self.strata + other.strata,
-            iterations_per_stratum=dict(self.iterations_per_stratum),
-            plans_compiled=self.plans_compiled + other.plans_compiled,
-            plan_cache_hits=self.plan_cache_hits + other.plan_cache_hits,
-        )
-        for predicate, count in other.facts_per_predicate.items():
-            merged.facts_per_predicate[predicate] = (
-                merged.facts_per_predicate.get(predicate, 0) + count
-            )
-        for stratum, count in other.iterations_per_stratum.items():
-            merged.iterations_per_stratum[stratum] = (
-                merged.iterations_per_stratum.get(stratum, 0) + count
-            )
-        return merged
-
     def as_dict(self) -> Dict[str, int]:
         """Flat summary used by benchmark reports."""
         return {

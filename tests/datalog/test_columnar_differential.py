@@ -56,9 +56,7 @@ def assert_same_observables(program, database):
         assert actual.idb_facts == expected.idb_facts, name
         if program.goal is not None:
             assert actual.answers() == expected.answers(), name
-        assert (
-            actual.statistics.as_dict() == expected.statistics.as_dict()
-        ), name
+        assert actual.statistics == expected.statistics, name
 
 
 @settings(max_examples=40, deadline=None)
@@ -118,7 +116,7 @@ def test_columnar_matches_tuple_magic_bound_goal(program, database, constant):
     actual = magic.evaluate(bound, database.with_layout("columnar"))
     assert actual.idb_facts == expected.idb_facts
     assert actual.answers() == expected.answers()
-    assert actual.statistics.as_dict() == expected.statistics.as_dict()
+    assert actual.statistics == expected.statistics
 
 
 # ----------------------------------------------------------------------

@@ -109,15 +109,26 @@ class TestStatistics:
         with pytest.raises(EvaluationError):
             evaluate_seminaive(ancestor_a.program, family_database, max_iterations=1)
 
-    def test_stats_merge(self):
+    def test_stats_absorb(self):
         from repro.datalog.engine.stats import EvaluationStatistics
 
-        left = EvaluationStatistics(iterations=1, rule_firings=2, facts_derived=3)
-        right = EvaluationStatistics(iterations=4, rule_firings=5, facts_derived=6)
-        merged = left.merge(right)
-        assert merged.iterations == 5
-        assert merged.rule_firings == 7
-        assert merged.facts_derived == 9
+        left = EvaluationStatistics(
+            iterations=1, rule_firings=2, facts_derived=3, duplicate_derivations=1,
+            facts_per_predicate={"p": 2, "q": 1}, strata=1,
+            iterations_per_stratum={"p": 1}, plans_compiled=1,
+        )
+        right = EvaluationStatistics(
+            iterations=4, rule_firings=5, facts_derived=6, duplicate_derivations=2,
+            facts_per_predicate={"q": 4, "r": 2}, strata=2,
+            iterations_per_stratum={"p": 1, "q,r": 3}, plan_cache_hits=1,
+        )
+        left.absorb(right)
+        assert left == EvaluationStatistics(
+            iterations=5, rule_firings=7, facts_derived=9, duplicate_derivations=3,
+            facts_per_predicate={"p": 2, "q": 5, "r": 2}, strata=3,
+            iterations_per_stratum={"p": 2, "q,r": 3}, plans_compiled=1, plan_cache_hits=1,
+        )
+        assert right.facts_per_predicate == {"q": 4, "r": 2}  # the argument is only read
 
 
 class TestSelectAnswers:

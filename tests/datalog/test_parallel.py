@@ -24,10 +24,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.workloads import parent_forest
 from repro.datalog import Database, DatalogService, QuerySession, parse_program
-from repro.datalog.columnar import shard
+from repro.datalog.columnar import batch, shard
+from repro.datalog.columnar.relation import KEY_BITS
 from repro.datalog.engine import compile_program_plan, get_engine
+from repro.datalog.engine.fixpoint import select_lane
 from repro.datalog.engine.parallel import depth_groups, resolve_workers
 from repro.datalog.engine.planner import Planner
+from repro.datalog.engine.stats import EvaluationStatistics
 from repro.datalog.guard import CancellationToken, ResourceBudget
 from repro.datalog.prepared import PreparedQuery
 from repro.errors import BudgetExceeded, EvaluationError, QueryCancelled
@@ -244,15 +247,19 @@ fork_only = pytest.mark.skipif(
 
 @fork_only
 class TestShardedDeltas:
-    def test_applicable_requires_wide_heads(self):
+    def test_sharded_lane_requires_wide_heads(self):
         database = random_graph(400, 1100).with_layout("columnar")
         plan = compile_program_plan(SHARDABLE_PROGRAM, database)
-        assert shard.applicable(plan, database, SHARDABLE_PROGRAM, workers=2)
-        assert not shard.applicable(plan, database, SHARDABLE_PROGRAM, workers=1)
+        assert shard.applicable(plan, workers=2)
+        assert not shard.applicable(plan, workers=1)
+        assert select_lane(plan, database, SHARDABLE_PROGRAM, workers=2) == "sharded"
+        assert select_lane(plan, database, SHARDABLE_PROGRAM, workers=1) == "packed"
+        # Naive has no deltas to shard.
+        assert select_lane(plan, database, SHARDABLE_PROGRAM, workers=2, naive=True) == "packed"
         # Binary heads stay on the (already C-speed) vector lane, serial.
         narrow = PROGRAM_POOL[0]
         narrow_plan = compile_program_plan(narrow, database)
-        assert not shard.applicable(narrow_plan, database, narrow, workers=2)
+        assert select_lane(narrow_plan, database, narrow, workers=2) == "vector"
 
     def test_forked_rounds_match_serial_exactly(self):
         # Big enough that recursive rounds clear MIN_SHARD_ROWS and the
@@ -268,7 +275,7 @@ class TestShardedDeltas:
         # so one (predicate, arity) appears repeatedly; regression: the
         # slicer replaced the group on the second entry instead of
         # extending it, silently dropping delta rows in every worker.
-        bits = shard.KEY_BITS
+        bits = KEY_BITS
         def entry(rows):
             keys = [(1 << (2 * bits)) | (a << bits) | b for a, b in rows]
             columns = [[a for a, _ in rows], [b for _, b in rows]]
@@ -321,11 +328,9 @@ class TestShardedDeltas:
         def classify(program):
             database = random_graph(10, 20).with_layout("columnar")
             plan = compile_program_plan(program, database)
-            working = shard._BatchWorking(database)
-            rules = shard._lowered_rules(plan, working)
-            probed = shard._probed_predicates(rules)
-            anti = shard._anti_predicates(rules)
-            decomposable = shard._decomposable_strata(plan, probed, anti)
+            lane = shard.ShardedLane(database, plan, EvaluationStatistics())
+            lane.close()
+            decomposable = lane.decomposable
             by_head = {
                 predicate: stratum.index
                 for stratum in plan.strata
@@ -396,21 +401,24 @@ class TestShardedDeltas:
         evaluate = get_engine("seminaive").evaluate
         serial = evaluate(SHARDABLE_PROGRAM, database)
 
+        # Who fired each round: the shards, or the driver itself (the
+        # packed lane's fire, which the sharded lane falls back to for
+        # static passes and rounds under MIN_SHARD_ROWS).
         tags = []
-        commit_merged = shard._commit_merged
-        commit_with_payload = shard._commit_with_payload
+        fire_sharded = shard.ShardedLane._fire_sharded
+        fire_in_driver = batch.PackedLane.fire
 
-        def spy_merged(working, buckets, head_arities, clean):
+        def spy_sharded(lane, rules, delta):
             tags.append("sharded")
-            return commit_merged(working, buckets, head_arities, clean)
+            return fire_sharded(lane, rules, delta)
 
-        def spy_driver(working, buckets, head_arities):
+        def spy_driver(lane, rules, delta):
             tags.append("driver")
-            return commit_with_payload(working, buckets, head_arities)
+            return fire_in_driver(lane, rules, delta)
 
         monkeypatch.setattr(shard, "MIN_SHARD_ROWS", 100)
-        monkeypatch.setattr(shard, "_commit_merged", spy_merged)
-        monkeypatch.setattr(shard, "_commit_with_payload", spy_driver)
+        monkeypatch.setattr(shard.ShardedLane, "_fire_sharded", spy_sharded)
+        monkeypatch.setattr(batch.PackedLane, "fire", spy_driver)
         for workers in (2, 3):
             tags.clear()
             assert_parity(serial, evaluate(SHARDABLE_PROGRAM, database, workers=workers))

@@ -184,6 +184,4 @@ class TestPortfolio:
             parse_workload("unreachable"), preferential_attachment(100, 3, seed=1)
         )
         assert result.idb_facts == tuple_result.idb_facts
-        assert (
-            result.statistics.as_dict() == tuple_result.statistics.as_dict()
-        )
+        assert result.statistics == tuple_result.statistics
