@@ -1,8 +1,8 @@
 """Vectorized batch evaluation: RuleKernel step programs over whole columns.
 
-The PR 4 tuple kernels (:mod:`repro.datalog.engine.executor`) probe one
-tuple at a time: every candidate pays a Python-level loop iteration, a
-tuple hash for dedup and a closure call per firing.  This module reuses
+The tuple kernels (:mod:`repro.datalog.engine.executor`) probe one
+tuple at a time: every candidate pays a Python-level loop iteration and
+a tuple hash for dedup.  This module reuses
 the *same* compiled step programs — probe column, equality checks, bind
 list, head extraction — but runs each step over the entire intermediate
 batch at once:

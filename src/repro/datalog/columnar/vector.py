@@ -1,7 +1,7 @@
 """The NumPy vector lane: whole-round joins as C-speed array kernels.
 
 The packed-bigint lane in :mod:`repro.datalog.columnar.batch` removes the
-per-firing closure overhead of the tuple kernels, but every emitted key
+per-tuple loop iterations of the tuple kernels, but every emitted key
 still costs a handful of Python bytecodes.  On workloads whose head
 relations fit two 32-bit lanes in a signed 64-bit integer — every binary
 program, which is the shape of the transitive-closure acceptance gates —

@@ -592,19 +592,15 @@ class Database:
         """
         return self._relations.get(predicate, _EMPTY_SET)
 
-    def probe(self, predicate: str, position: int, value) -> Sequence[Tuple]:
-        """Tuples of *predicate* whose argument at *position* equals *value*.
+    def index(self, predicate: str, position: int) -> Mapping[object, Sequence[Tuple]]:
+        """The hash index of *predicate* on *position*: value -> its tuples.
 
-        Served from a persistent hash index keyed by ``(position, value)``.
-        The index for a position is built on first probe and thereafter
-        maintained incrementally by :meth:`add_fact` / :meth:`update`.
-
-        The result is a read-only *view* into the index, not a copy (copying
-        on every probe would defeat the hot path): it must not be mutated,
-        and whether it reflects tuples added later is unspecified (non-empty
-        buckets do; the shared empty result does not).  Callers holding a
-        result across mutations — no engine does — should materialise it
-        first (``tuple(db.probe(...))``).
+        Built on first request and thereafter maintained incrementally by
+        :meth:`add_fact` / :meth:`update`; a value with no tuples has no
+        key.  Read-only, and — like :meth:`relation_view` — not valid
+        across :meth:`remove_relation`: a caller probing the same column
+        many times between writes (a generated kernel's loop) fetches it
+        once and pays one ``dict.get`` per probe.
         """
         indexes = self._indexes.setdefault(predicate, {})
         index = indexes.get(position)
@@ -614,7 +610,26 @@ class Database:
                 if position < len(values):
                     index.setdefault(values[position], []).append(values)
             indexes[position] = index
-        return index.get(value, _EMPTY)
+        return index
+
+    def probe(self, predicate: str, position: int, value) -> Sequence[Tuple]:
+        """Tuples of *predicate* whose argument at *position* equals *value*.
+
+        Served from the persistent hash index (:meth:`index`).
+
+        The result is a read-only *view* into the index, not a copy (copying
+        on every probe would defeat the hot path): it must not be mutated,
+        and whether it reflects tuples added later is unspecified (non-empty
+        buckets do; the shared empty result does not).  Callers holding a
+        result across mutations — no engine does — should materialise it
+        first (``tuple(db.probe(...))``).
+        """
+        try:
+            # An index that exists (every probe after a column's first) is
+            # two subscripts away; only a miss goes through the builder.
+            return self._indexes[predicate][position].get(value, _EMPTY)
+        except KeyError:
+            return self.index(predicate, position).get(value, _EMPTY)
 
     def relations(self) -> Dict[str, FrozenSet[Tuple]]:
         """All relations as an immutable snapshot."""

@@ -165,9 +165,8 @@ def fire_rule(plan, rule: Rule, working, bucket, statistics, compiled: bool = Tr
     kernel = plan.kernel(rule) if compiled else None
     if kernel is not None:
         before = len(bucket)
-        sink, firings = _dedup_sink(working.relation_view(predicate), bucket)
-        kernel.execute_static(working, sink)
-        statistics.record_batch(predicate, firings(), len(bucket) - before)
+        firings = kernel.execute_static(working, bucket.add, working.relation_view(predicate))
+        statistics.record_batch(predicate, firings, len(bucket) - before)
     else:
         join_plan = plan.join_plan(rule)
         for substitution in match_body(rule.body, working, order=join_plan.order):
@@ -177,25 +176,6 @@ def fire_rule(plan, rule: Rule, working, bucket, statistics, compiled: bool = Tr
             statistics.record_fact(predicate, is_new)
             if is_new:
                 bucket.add(values)
-
-
-def _dedup_sink(existing, bucket):
-    """An emit callback filtering kernel firings straight into *bucket*.
-
-    Returns ``(sink, firings)``: the kernel streams every head tuple into
-    ``sink`` (no intermediate list), and ``firings()`` reports how many
-    arrived — the duplicate count the statistics need is the difference
-    against the bucket's growth.
-    """
-    count = 0
-
-    def sink(values):
-        nonlocal count
-        count += 1
-        if values not in existing and values not in bucket:
-            bucket.add(values)
-
-    return sink, lambda: count
 
 
 def fire_rule_delta(
@@ -222,9 +202,8 @@ def fire_rule_delta(
             if rule.body[position].predicate not in delta_predicates:
                 continue
             before = len(bucket)
-            sink, firings = _dedup_sink(existing, bucket)
-            kernel.execute_delta(position, working, delta, sink)
-            statistics.record_batch(predicate, firings(), len(bucket) - before)
+            firings = kernel.execute_delta(position, working, delta, bucket.add, existing)
+            statistics.record_batch(predicate, firings, len(bucket) - before)
     else:
         join_plan = plan.join_plan(rule)
         for variant in join_plan.variants:
@@ -274,15 +253,19 @@ def _apply_aggregate(op: str, values: FrozenSet) -> object:
         ) from exc
 
 
-def fire_aggregate_rule(plan, rule: Rule, working, bucket, statistics) -> None:
+def fire_aggregate_rule(
+    plan, rule: Rule, working, bucket, statistics, compiled: bool = True
+) -> None:
     """Run one aggregate rule against its fully-closed body relations.
 
     Stratification guarantees every body predicate is closed when this
     runs (aggregate-rule body edges are negative dependency edges), so the
     rule fires exactly once per stratum — on the stratum's first pass, in
     both bottom-up engines, via this one routine, which is what keeps the
-    statistics identical across engines and kernel paths (aggregate rules
-    never compile to kernels; the whole columnar plan falls back too).
+    statistics identical across engines.  The body runs through the
+    rule's aggregate kernel (head: group key, then the aggregated value)
+    when the plan has one and *compiled* is set, through the interpreted
+    :func:`match_body` otherwise.
 
     Grouping is by the non-aggregate head positions; the aggregate is
     computed over the *distinct* bindings of the aggregated variable per
@@ -290,26 +273,35 @@ def fire_aggregate_rule(plan, rule: Rule, working, bucket, statistics) -> None:
     order, duplicates, or engine choice.
     """
     predicate = rule.head.predicate
-    join_plan = plan.join_plan(rule)
     agg_position = next(
         position
         for position, term in enumerate(rule.head.terms)
         if isinstance(term, Aggregate)
     )
     aggregate: Aggregate = rule.head.terms[agg_position]
-    key_spec = tuple(
-        (term, None) if isinstance(term, Variable) else (None, getattr(term, "value", None))
-        for position, term in enumerate(rule.head.terms)
-        if position != agg_position
-    )
     groups: Dict[Tuple, set] = {}
-    for substitution in match_body(rule.body, working, order=join_plan.order):
-        statistics.record_firing()
-        key = tuple(
-            substitution[variable].value if variable is not None else constant
-            for variable, constant in key_spec
+    kernel = plan.aggregate_kernel(rule) if compiled else None
+    if kernel is not None:
+        # set.add drops repeated (key, value) firings at C speed; only the
+        # distinct ones are grouped.
+        distinct: set = set()
+        statistics.rule_firings += kernel.execute_static(working, distinct.add)
+        for values in distinct:
+            groups.setdefault(values[:-1], set()).add(values[-1])
+    else:
+        join_plan = plan.join_plan(rule)
+        key_spec = tuple(
+            (term, None) if isinstance(term, Variable) else (None, getattr(term, "value", None))
+            for position, term in enumerate(rule.head.terms)
+            if position != agg_position
         )
-        groups.setdefault(key, set()).add(substitution[aggregate.variable].value)
+        for substitution in match_body(rule.body, working, order=join_plan.order):
+            statistics.record_firing()
+            key = tuple(
+                substitution[variable].value if variable is not None else constant
+                for variable, constant in key_spec
+            )
+            groups.setdefault(key, set()).add(substitution[aggregate.variable].value)
     for key, group_values in groups.items():
         result = _apply_aggregate(aggregate.op, group_values)
         values = key[:agg_position] + (result,) + key[agg_position:]

@@ -1,47 +1,67 @@
 """Compiled slot-based join kernels for the bottom-up engines.
 
-PR 2's :class:`~repro.datalog.engine.planner.JoinPlan` fixed *what order* a
-rule's body is joined in; the engines still *interpreted* that order through
-:func:`~repro.datalog.engine.base.match_body`, which pays real interpreter
-overhead per candidate tuple: a fresh substitution dict (``dict(...)`` per
-candidate, even failing ones), a :class:`~repro.datalog.terms.Constant`
-wrapper allocated per binding, and an ``isinstance`` scan over the atom's
-terms to rediscover the probe column on every call.
+A :class:`~repro.datalog.engine.planner.JoinPlan` fixes *what order* a
+rule's body is joined in.  Interpreting that order through
+:func:`~repro.datalog.engine.base.match_body` pays real overhead per
+candidate tuple: a fresh substitution dict (even for failing candidates),
+a :class:`~repro.datalog.terms.Constant` wrapper per binding, and an
+``isinstance`` scan over the atom's terms to rediscover the probe column.
 
-This module lowers each plan into a :class:`RuleKernel` that removes all of
-that from the inner loop:
+This module lowers each plan into a :class:`RuleKernel` in two stages:
 
-* the rule's variables are numbered into **slots** ``0..k-1`` once, at
-  compile time; a substitution becomes a plain Python list of raw domain
-  values — no dicts, no ``Constant`` wrapping;
-* each join step precompiles its **probe source** (a constant value, a slot
-  to read, or a full scan), its **equality checks** as ``(tuple position,
-  expected)`` pairs, and its **bind list** of ``(tuple position, slot)``
-  writes — the loop body is pure tuple indexing and list writes;
-* **head extraction** compiles to a builder over slot indexes and constant
-  values (no per-firing dict lookups through the substitution);
-* every :class:`~repro.datalog.engine.planner.DeltaVariant` gets its own
-  compiled step sequence sharing the same slot numbering, so semi-naive
-  rounds run kernels too.
+* **steps** — the rule's variables are numbered into **slots**
+  ``0..k-1`` once, and every join step becomes a :class:`StepKernel`:
+  its **probe source** (a constant value, a slot to read, or a full
+  scan), its **equality checks** as ``(tuple position, expected)`` pairs,
+  its **bind list** of ``(tuple position, slot)`` writes, or — for a
+  negated literal — the operands of a membership test.  The static order
+  and every :class:`~repro.datalog.engine.planner.DeltaVariant` get a
+  step sequence under the same slot numbering.  The steps are the IR:
+  ``describe()`` prints them and the columnar lanes lower them further
+  (:meth:`RuleKernel.batch_kernel`);
+* **generated source** — to run on the tuple lane a step sequence is
+  emitted as *one Python function of plain nested* ``for`` *loops*
+  (:func:`_generate`): slots are locals, every check is an inlined
+  ``continue``, the head tuple is built inline, and the innermost
+  statement counts the firing and emits the head unless the caller's
+  ``existing`` container holds it.  The text is turned into a function
+  the way :mod:`dataclasses` and ``namedtuple`` do it (``exec``), with
+  predicate names and constants **bound as values, never printed** — so
+  the text depends on the sequence's shape alone, structurally identical
+  sequences share one code object (:func:`_factory`'s memo: re-preparing
+  after a write compiles nothing), and no value needs escaping.
+  Generation is lazy per sequence: a variant that never fires is never
+  generated.  :meth:`RuleKernel.source` returns the text.
+
+:meth:`RuleKernel.execute_static` and :meth:`RuleKernel.execute_delta`
+are the only two functions that run kernel code, for the fixpoint and
+for view maintenance alike.
 
 Compilation is conservative: a rule whose terms are not all variables and
 constants (e.g. an un-compiled :class:`~repro.datalog.terms.Parameter`)
 yields no kernel and the engines fall back to the ``match_body`` reference
 path, which also remains the evaluator for the top-down engine and any
-custom transform that produces such rules.  :func:`compile_program_plan`
-attaches kernels to the :class:`~repro.datalog.engine.planner.ProgramPlan`,
-so the :class:`~repro.datalog.engine.planner.Planner` memo cache (and a
+custom transform that produces such rules.  An aggregate rule yields no
+*rule* kernel either, but its body gets one of the same kind
+(:func:`compile_aggregate_kernel`).
+:func:`~repro.datalog.engine.planner.compile_program_plan` attaches
+kernels to the :class:`~repro.datalog.engine.planner.ProgramPlan`, so the
+:class:`~repro.datalog.engine.planner.Planner` memo cache (and a
 :class:`~repro.datalog.prepared.PreparedQuery`'s cached plan) amortises
-kernel compilation exactly like join planning: once per binding pattern.
+lowering exactly like join planning: once per binding pattern.
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
+import linecache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.datalog.atoms import NegatedAtom
+from repro.datalog.database import Database
 from repro.datalog.rules import Rule
-from repro.datalog.terms import Constant, Variable
+from repro.datalog.terms import Aggregate, Constant, Variable
 
 # Probe kinds a compiled step can use to fetch its candidate tuples.
 PROBE_CONST = 0  # index probe with a constant baked in at compile time
@@ -52,8 +72,8 @@ PROBE_SCAN = 2  # full relation scan
 class StepKernel:
     """One compiled join step: where to fetch tuples and how to filter them.
 
-    Everything the inner loop needs is precomputed into plain tuples of
-    integers and raw values; the atom itself is kept only for
+    Everything the generated loop needs is precomputed into plain tuples
+    of integers and raw values; the atom itself is kept only for
     :meth:`describe`.
     """
 
@@ -133,146 +153,160 @@ class StepKernel:
         return "; ".join(parts)
 
 
-# A compiled step sequence: call with (database, delta_database, slots, emit)
-# and it invokes ``emit`` once per satisfying head-value tuple.
-KernelRunner = Callable[[object, object, List[object], Callable[[Tuple], None]], None]
+#: CPython refuses more than 20 statically nested blocks; a longer step
+#: sequence continues in a chained function every this many loops.
+MAX_NESTED_LOOPS = 16
 
 
-def _compile_head(head_ops: Tuple[Tuple[bool, object], ...]) -> Callable[[List[object]], Tuple]:
-    """A builder turning a slot list into the head's value tuple.
+def _tuple_text(items: Sequence[str]) -> str:
+    return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
 
-    *head_ops* holds one ``(is_slot, payload)`` pair per head argument —
-    the payload is a slot index or a raw constant value.  The common small
-    arities get dedicated closures so the hot path avoids a generator
-    expression per firing.
+
+def _generate(
+    steps: Sequence[StepKernel], head_ops: Tuple[Tuple[bool, object], ...]
+) -> Tuple[str, Tuple]:
+    """Source text of one step sequence, and the values it binds.
+
+    The text defines ``bind(c0, c1, …)`` returning the kernel function
+    ``kernel(database, delta, emit, existing)``: the steps as plain nested
+    ``for`` loops over slot locals (``s0``, ``s1``, …), every check an
+    inlined ``continue``, the head tuple built inline at the innermost
+    level and counted in ``n``, which the kernel returns.  Predicate names
+    and constants appear only as the parameters ``c0``, ``c1``, … — never
+    as literals — so the text depends on the *shape* of the sequence alone
+    and structurally identical sequences share one code object.
+
+    A probe against a plain :class:`Database` reads the ``(predicate,
+    position)`` index fetched once in the prologue; any other source (an
+    overlay, the incremental state views) is asked through its bound
+    ``probe`` per lookup.  The prologue therefore builds a missing index
+    even when the loops around its step turn out empty.
     """
-    if all(not is_slot for is_slot, _ in head_ops):
-        ground = tuple(payload for _, payload in head_ops)
-        return lambda slots: ground
-    if len(head_ops) == 1:
-        # The all-constant case returned above, so this is a slot read.
-        ((_, payload),) = head_ops
-        return lambda slots: (slots[payload],)
-    if len(head_ops) == 2:
-        (first_slot, first), (second_slot, second) = head_ops
-        if first_slot and second_slot:
-            return lambda slots: (slots[first], slots[second])
-        if first_slot:
-            return lambda slots: (slots[first], second)
-        return lambda slots: (first, slots[second])
-    return lambda slots: tuple(
-        slots[payload] if is_slot else payload for is_slot, payload in head_ops
-    )
+    values: List[object] = []
 
+    def bound(value) -> str:
+        values.append(value)
+        return f"c{len(values) - 1}"
 
-def _compile_steps(
-    steps: Sequence[StepKernel], head_builder: Callable[[List[object]], Tuple]
-) -> KernelRunner:
-    """Chain the compiled steps into nested loops, innermost emitting heads.
+    def operands(ops) -> str:
+        return _tuple_text(
+            [f"s{payload}" if is_slot else bound(payload) for is_slot, payload in ops]
+        )
 
-    Built back-to-front: each step becomes a closure over its own probe
-    spec, check lists, and bind list (all locals — no attribute lookups in
-    the loop) that drives the next step's closure per surviving tuple.
-    """
-    runner: Optional[KernelRunner] = None
-    for step in reversed(steps):
-        runner = _compile_step(step, runner, head_builder)
-    if runner is None:
-        # Empty body: fire exactly once (match_body yields one empty
-        # substitution); validation guarantees the head is ground.
-        return lambda database, delta, slots, emit: emit(head_builder(slots))
-    return runner
-
-
-def _compile_step(
-    step: StepKernel,
-    continuation: Optional[KernelRunner],
-    head_builder: Callable[[List[object]], Tuple],
-) -> KernelRunner:
-    predicate = step.predicate
-    arity = step.arity
-    use_delta = step.use_delta
-    probe_kind = step.probe_kind
-    probe_position = step.probe_position
-    probe_value = step.probe_value
-    probe_slot = step.probe_slot
-    const_checks = step.const_checks
-    slot_checks = step.slot_checks
-    self_checks = step.self_checks
-    binds = step.binds
-    is_leaf = continuation is None
-
-    if step.anti:
-        anti_ops = step.anti_ops
-
-        def run_anti(database, delta, slots, emit):
-            # Membership test against the working database (the negated
-            # predicate's relation is fully closed — it lives in a strictly
-            # lower stratum or the EDB — so ``contains`` is the complement).
-            values = tuple(
-                slots[payload] if is_slot else payload for is_slot, payload in anti_ops
-            )
-            if database.contains(predicate, values):
-                return
-            if is_leaf:
-                emit(head_builder(slots))
-            else:
-                continuation(database, delta, slots, emit)
-
-        return run_anti
-
-    def run(database, delta, slots, emit):
-        source = delta if use_delta else database
-        if probe_kind == PROBE_CONST:
-            candidates = source.probe(predicate, probe_position, probe_value)
-        elif probe_kind == PROBE_SLOT:
-            candidates = source.probe(predicate, probe_position, slots[probe_slot])
+    prologue: List[str] = []
+    # One list of body lines per function: the kernel's own loops first,
+    # then each chained ``part`` (parameters: every slot bound before it).
+    functions: List[Tuple[str, List[str]]] = [("", ["n = 0"])]
+    lines = functions[0][1]
+    depth = 0
+    slots_bound: List[int] = []
+    for number, step in enumerate(steps):
+        pad = "    " * depth
+        skip = "continue" if depth else "return n"
+        source = "delta" if step.use_delta else "database"
+        plain = f"type({source}) is Database"
+        predicate = bound(step.predicate)
+        if step.anti:
+            prologue += [
+                f"view{number} = {source}.relation_view({predicate}) if {plain} else None",
+                f"has{number} = {source}.contains",
+            ]
+            row = operands(step.anti_ops)
+            lines += [
+                f"{pad}if (has{number}({predicate}, {row}) if view{number} is None "
+                f"else {row} in view{number}):",
+                f"{pad}    {skip}",
+            ]
+            continue
+        if depth == MAX_NESTED_LOOPS:
+            arguments = ", ".join(f"s{slot}" for slot in sorted(slots_bound))
+            name = f"part{len(functions)}"
+            lines.append(f"{pad}n += {name}({arguments})")
+            functions.append((f"def {name}({arguments}):", ["n = 0"]))
+            lines = functions[-1][1]
+            depth, pad = 0, ""
+        row = f"t{number}"
+        if step.probe_kind == PROBE_SCAN:
+            candidates = f"{source}.relation({predicate})"
         else:
-            candidates = source.relation(predicate)
-        for values in candidates:
-            if len(values) != arity:
-                continue
-            if const_checks:
-                matched = True
-                for position, expected in const_checks:
-                    if values[position] != expected:
-                        matched = False
-                        break
-                if not matched:
-                    continue
-            if slot_checks:
-                matched = True
-                for position, slot in slot_checks:
-                    if values[position] != slots[slot]:
-                        matched = False
-                        break
-                if not matched:
-                    continue
-            if self_checks:
-                matched = True
-                for position, other in self_checks:
-                    if values[position] != values[other]:
-                        matched = False
-                        break
-                if not matched:
-                    continue
-            for position, slot in binds:
-                slots[slot] = values[position]
-            if is_leaf:
-                emit(head_builder(slots))
-            else:
-                continuation(database, delta, slots, emit)
+            position = step.probe_position
+            key = (
+                bound(step.probe_value)
+                if step.probe_kind == PROBE_CONST
+                else f"s{step.probe_slot}"
+            )
+            prologue += [
+                f"get{number} = {source}.index({predicate}, {position}).get if {plain} else None",
+                f"probe{number} = {source}.probe",
+            ]
+            candidates = (
+                f"(probe{number}({predicate}, {position}, {key}) if get{number} is None "
+                f"else get{number}({key}, ()))"
+            )
+        lines.append(f"{pad}for {row} in {candidates}:")
+        # Unpacking binds this step's slots and rejects a row of another
+        # arity (a relation may mix arities) in one instruction; columns
+        # that bind nothing land in throwaway names the checks read.
+        columns = [f"{row}_{at}" for at in range(step.arity)]
+        for at, slot in step.binds:
+            columns[at] = f"s{slot}"
+            slots_bound.append(slot)
+        lines += [
+            f"{pad}    try:",
+            f"{pad}        {_tuple_text(columns)} = {row}",
+            f"{pad}    except ValueError:",
+            f"{pad}        continue",
+        ]
+        checks = [f"{columns[at]} != {bound(value)}" for at, value in step.const_checks]
+        checks += [f"{columns[at]} != s{slot}" for at, slot in step.slot_checks]
+        checks += [f"{columns[at]} != {columns[other]}" for at, other in step.self_checks]
+        if checks:
+            lines += [f"{pad}    if {' or '.join(checks)}:", f"{pad}        continue"]
+        depth += 1
+    pad = "    " * depth
+    lines += [
+        f"{pad}n += 1",
+        f"{pad}h = {operands(head_ops)}",
+        f"{pad}if h not in existing:",
+        f"{pad}    emit(h)",
+    ]
+    text = [f"def bind({', '.join(f'c{index}' for index in range(len(values)))}):"]
+    text.append("    def kernel(database, delta, emit, existing):")
+    text += ["        " + line for line in prologue]
+    # Chained parts are closures of the kernel (they read its handles),
+    # defined before the loops that call them.
+    for header, body in functions[:0:-1]:
+        text.append("        " + header)
+        text += ["            " + line for line in body]
+        text.append("            return n")
+    text += ["        " + line for line in functions[0][1]]
+    text += ["        return n", "    return kernel", ""]
+    return "\n".join(text), tuple(values)
 
-    return run
+
+@functools.lru_cache(maxsize=4096)
+def _factory(source: str) -> Callable:
+    """``bind`` of one generated source — compiled once per distinct text.
+
+    The text is registered with :mod:`linecache` under its own
+    ``<repro-kernel …>`` filename, so a traceback or profile row from
+    inside a kernel shows the generated line.
+    """
+    digest = hashlib.sha1(source.encode(), usedforsecurity=False).hexdigest()[:12]
+    filename = f"<repro-kernel {digest}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace = {"Database": Database}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace["bind"]
 
 
 class RuleKernel:
     """The fully compiled evaluator for one rule.
 
-    One slot file (``register_count`` raw values) is shared by the static
-    step sequence and every delta variant; callers get firings as a list of
-    head-value tuples (duplicates included — duplicate accounting belongs
-    to the fixpoint, which owns the per-predicate seen-sets).
+    One slot numbering (``register_count`` raw values) is shared by the
+    static step sequence and every delta variant.  Each sequence runs as
+    one generated function (:func:`_generate`), built on first use — a
+    variant that never fires is never generated.
     """
 
     __slots__ = (
@@ -282,9 +316,7 @@ class RuleKernel:
         "head_ops",
         "static_steps",
         "delta_steps",
-        "_head_builder",
-        "_static_runner",
-        "_delta_runners",
+        "_functions",
         "_batch",
     )
 
@@ -303,12 +335,8 @@ class RuleKernel:
         self.head_ops = head_ops
         self.static_steps = static_steps
         self.delta_steps = dict(delta_steps)
-        self._head_builder = _compile_head(head_ops)
-        self._static_runner = _compile_steps(static_steps, self._head_builder)
-        self._delta_runners = {
-            position: _compile_steps(steps, self._head_builder)
-            for position, steps in delta_steps.items()
-        }
+        # position (None = the static order) -> generated kernel function
+        self._functions: Dict[Optional[int], Callable] = {}
         self._batch = None
 
     @property
@@ -330,20 +358,36 @@ class RuleKernel:
             self._batch = BatchKernel(self)
         return self._batch
 
-    def execute_static(self, database, emit: Callable[[Tuple], None]) -> None:
-        """Stream the static order's head-value firings into *emit*.
+    def _steps(self, position: Optional[int]) -> Tuple[StepKernel, ...]:
+        return self.static_steps if position is None else self.delta_steps[position]
 
-        Duplicates are streamed too — duplicate accounting belongs to the
-        fixpoint, which owns the per-predicate seen-sets and filters in its
-        callback without materialising the firing list.
+    def _function(self, position: Optional[int]) -> Callable:
+        function = self._functions.get(position)
+        if function is None:
+            source, values = _generate(self._steps(position), self.head_ops)
+            function = self._functions[position] = _factory(source)(*values)
+        return function
+
+    def source(self, position: Optional[int] = None) -> str:
+        """The generated source of the static order, or of one delta variant."""
+        return _generate(self._steps(position), self.head_ops)[0]
+
+    def execute_static(self, database, emit: Callable[[Tuple], None], existing=()) -> int:
+        """Stream the static order's head tuples into *emit*; returns the firing count.
+
+        Every firing is counted; a head tuple found in *existing* (any
+        container answering ``in``) is not emitted.  The fixpoint passes
+        the head relation's live view and a bucket's ``set.add``, so the
+        count and the bucket's growth are all the statistics need; with
+        the default nothing is filtered and duplicates stream through.
         """
-        self._static_runner(database, None, [None] * self.register_count, emit)
+        return self._function(None)(database, None, emit, existing)
 
     def execute_delta(
-        self, position: int, database, delta, emit: Callable[[Tuple], None]
-    ) -> None:
-        """Stream firings with the body atom at *position* reading the delta."""
-        self._delta_runners[position](database, delta, [None] * self.register_count, emit)
+        self, position: int, database, delta, emit: Callable[[Tuple], None], existing=()
+    ) -> int:
+        """Like :meth:`execute_static`, the body atom at *position* reading the delta."""
+        return self._function(position)(database, delta, emit, existing)
 
     def run_static(self, database) -> List[Tuple]:
         """All head-value firings of the static order, materialised (for tests)."""
@@ -359,7 +403,7 @@ class RuleKernel:
 
     def head(self, slots: Sequence[object]) -> Tuple:
         """The head-value tuple for a fully populated slot list (for tests)."""
-        return self._head_builder(list(slots))
+        return tuple(slots[payload] if is_slot else payload for is_slot, payload in self.head_ops)
 
     def describe(self) -> str:
         """EXPLAIN surface: slot numbering, head extraction, per-step detail."""
@@ -476,13 +520,34 @@ def compile_rule_kernel(plan) -> Optional[RuleKernel]:
     """Compile a :class:`~repro.datalog.engine.planner.JoinPlan` to a kernel.
 
     Returns ``None`` when the rule cannot be lowered — any term that is not
-    a plain variable or constant (an un-compiled parameter, or a term kind a
-    future transform might invent) keeps the rule on the interpreted
-    ``match_body`` path instead of miscompiling it.
+    a plain variable or constant (an un-compiled parameter, an aggregate,
+    or a term kind a future transform might invent) keeps the rule on the
+    interpreted ``match_body`` path instead of miscompiling it.
     """
+    return _lower(plan, plan.rule.head.terms)
+
+
+def compile_aggregate_kernel(plan) -> Optional[RuleKernel]:
+    """The body kernel of an aggregate rule, or ``None`` for any other rule.
+
+    Its head is ``(group key…, aggregated value)``: the rule's
+    non-aggregate head terms in order, then the aggregated variable —
+    what :func:`~repro.datalog.engine.base.fire_aggregate_rule` groups.
+    It is kept apart from the rule kernels (``plan.kernels[rule]`` stays
+    ``None``): the columnar lanes have no grouping step to lower it to.
+    """
+    terms = plan.rule.head.terms
+    aggregates = [term for term in terms if isinstance(term, Aggregate)]
+    if len(aggregates) != 1:
+        return None
+    key = tuple(term for term in terms if not isinstance(term, Aggregate))
+    return _lower(plan, key + (aggregates[0].variable,))
+
+
+def _lower(plan, head_terms) -> Optional[RuleKernel]:
     rule: Rule = plan.rule
-    for atom in (rule.head, *rule.body):
-        for term in atom.terms:
+    for terms in (head_terms, *(atom.terms for atom in rule.body)):
+        for term in terms:
             if not isinstance(term, (Variable, Constant)):
                 return None
     registers: Dict[Variable, int] = {}
@@ -491,7 +556,7 @@ def compile_rule_kernel(plan) -> Optional[RuleKernel]:
             if isinstance(term, Variable) and term not in registers:
                 registers[term] = len(registers)
     head_ops: List[Tuple[bool, object]] = []
-    for term in rule.head.terms:
+    for term in head_terms:
         if isinstance(term, Variable):
             if term not in registers:
                 return None  # unsafe head variable; leave it to validation

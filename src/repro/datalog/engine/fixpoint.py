@@ -117,7 +117,7 @@ class TupleLane:
             # change what they derive.
             for rule in self._aggregates:
                 bucket = buckets.setdefault(rule.head.predicate, set())
-                fire_aggregate_rule(plan, rule, working, bucket, statistics)
+                fire_aggregate_rule(plan, rule, working, bucket, statistics, compiled)
             self._aggregates = ()
         else:
             delta_predicates = delta.predicates()

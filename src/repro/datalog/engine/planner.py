@@ -165,6 +165,10 @@ class ProgramPlan:
     # lowered (see repro.datalog.engine.executor.compile_rule_kernel); the
     # engines fall back to interpreted match_body for None entries.
     kernels: Dict[Rule, object] = field(default_factory=dict)
+    # aggregate rule -> the kernel of its *body* (executor.
+    # compile_aggregate_kernel); such a rule's `kernels` entry stays None,
+    # which is what keeps the columnar lanes off programs with aggregates.
+    aggregate_kernels: Dict[Rule, object] = field(default_factory=dict)
 
     def join_plan(self, rule: Rule) -> JoinPlan:
         """The compiled plan for *rule* (every proper rule has one)."""
@@ -173,6 +177,10 @@ class ProgramPlan:
     def kernel(self, rule: Rule):
         """The compiled :class:`~repro.datalog.engine.executor.RuleKernel`, or ``None``."""
         return self.kernels.get(rule)
+
+    def aggregate_kernel(self, rule: Rule):
+        """The body kernel of an aggregate rule, or ``None``."""
+        return self.aggregate_kernels.get(rule)
 
     def describe(self) -> str:
         """Human-readable EXPLAIN output: strata, join orders, compiled kernels."""
@@ -455,7 +463,7 @@ def compile_program_plan(
     *external* insertions and deletions, which arrive through EDB and
     lower-stratum body atoms too.
     """
-    from repro.datalog.engine.executor import compile_rule_kernel
+    from repro.datalog.engine.executor import compile_aggregate_kernel, compile_rule_kernel
 
     proper_rules = tuple(rule for rule in program.rules if not rule.is_fact())
     graph = dependency_graph(program)
@@ -465,6 +473,7 @@ def compile_program_plan(
     strata: List[Stratum] = []
     plans: Dict[Rule, JoinPlan] = {}
     kernels: Dict[Rule, object] = {}
+    aggregate_kernels: Dict[Rule, object] = {}
     # predicate -> depth of the (already built, i.e. lower) stratum holding
     # it; EDB predicates and rule-less components never enter, so they
     # contribute depth -1 below and a stratum over pure EDB input sits at 0.
@@ -497,6 +506,8 @@ def compile_program_plan(
                     rule, initial_estimates, estimates, delta_predicates, column_stats
                 )
                 kernels[rule] = compile_rule_kernel(plans[rule])
+                if kernels[rule] is None:
+                    aggregate_kernels[rule] = compile_aggregate_kernel(plans[rule])
         depth = 1 + max(
             (
                 stratum_depths.get(atom.predicate, -1)
@@ -509,7 +520,7 @@ def compile_program_plan(
         for predicate in predicates:
             stratum_depths[predicate] = depth
         strata.append(Stratum(len(strata), predicates, tuple(rules), recursive, depth))
-    return ProgramPlan(program, tuple(strata), plans, kernels)
+    return ProgramPlan(program, tuple(strata), plans, kernels, aggregate_kernels)
 
 
 class Planner:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.datalog.atoms import Atom
 from repro.datalog.database import Database
-from repro.datalog.parser import parse_program
+from repro.datalog.parser import parse_program, parse_rule
 from repro.datalog.terms import Constant, Variable
 
 # ----------------------------------------------------------------------
@@ -290,3 +290,53 @@ WIDE_PROGRAM_POOL = [
 
 wide_programs = st.sampled_from(WIDE_PROGRAM_POOL)
 wide_program_indexes = st.sampled_from(range(len(WIDE_PROGRAM_POOL)))
+
+
+# ----------------------------------------------------------------------
+# Single rules covering every step shape a kernel is generated from
+# ----------------------------------------------------------------------
+# Rule-level, not program-level: the executor suite lowers each rule on
+# its own (every body position a delta position) and compares firings
+# with the interpreter, so heads and bodies may use any predicate of
+# mixed_arity_databases().  The shapes: constants in bodies and heads,
+# a variable repeated within one atom, self-joins, negation (with and
+# without constants), zero-arity heads and bodies, an all-constant body.
+KERNEL_RULE_POOL = [
+    parse_rule(text)
+    for text in (
+        "h(X, Y) :- e(X, Z), f(Z, Y).",
+        "h(X, 1) :- e(0, X).",
+        "h(c, X, c) :- e(X, 1), f(X, X).",
+        "h(X) :- e(X, X).",
+        "h(X, W) :- e(X, Y), e(Y, Z), e(Z, W).",
+        "h(X, Y) :- e(X, Y), e(Y, X).",
+        "h(X) :- u(X), not e(X, X).",
+        "h(X, Y) :- e(X, Y), not f(Y, 0), not u(X).",
+        "h() :- e(X, Y), f(Y, X).",
+        "h(X) :- z(), u(X).",
+        "h(a) :- e(0, 1).",
+        "h(X, Y, Z) :- g(X, Y, Z), e(X, Y), u(Z).",
+        "h(X, Z) :- g(X, X, Z), g(Z, 0, Y).",
+    )
+]
+
+kernel_rules = st.sampled_from(KERNEL_RULE_POOL)
+
+_ARITIES = {"e": (2, 2, 2, 1, 3), "f": (2, 2, 2, 3), "g": (3, 3, 2), "u": (1, 1, 2), "z": (0, 1)}
+
+
+@st.composite
+def mixed_arity_databases(draw, max_size: int = 14):
+    """Facts over e/f (binary), g (ternary), u (unary), z (zero-arity).
+
+    Each relation also draws rows of a *wrong* arity now and then — a
+    :class:`Database` does not forbid them, and every evaluator must skip
+    them the way ``match_atom``'s length guard does.
+    """
+    database = Database()
+    small = st.integers(min_value=0, max_value=3)
+    for _ in range(draw(st.integers(min_value=0, max_value=max_size))):
+        predicate = draw(st.sampled_from(sorted(_ARITIES)))
+        arity = draw(st.sampled_from(_ARITIES[predicate]))
+        database.add_fact(predicate, tuple(draw(small) for _ in range(arity)))
+    return database

@@ -1,5 +1,8 @@
 """Compiled slot-based join kernels: units, parity, and cross-engine properties."""
 
+import linecache
+import traceback
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -192,6 +195,178 @@ class TestExecution:
 
 
 # ----------------------------------------------------------------------
+# The generated source
+# ----------------------------------------------------------------------
+GOLDEN_REACH_STATIC = """\
+def bind(c0, c1):
+    def kernel(database, delta, emit, existing):
+        get1 = database.index(c1, 0).get if type(database) is Database else None
+        probe1 = database.probe
+        n = 0
+        for t0 in database.relation(c0):
+            try:
+                (s0, s1) = t0
+            except ValueError:
+                continue
+            for t1 in (probe1(c1, 0, s1) if get1 is None else get1(s1, ())):
+                try:
+                    (t1_0, s2) = t1
+                except ValueError:
+                    continue
+                n += 1
+                h = (s0, s2)
+                if h not in existing:
+                    emit(h)
+        return n
+    return kernel
+"""
+
+
+def reach_kernel(reach="reach", edge="edge"):
+    _, _, kernel = kernel_for(
+        f"{reach}(X, Y) :- {reach}(X, Z), {edge}(Z, Y).",
+        {reach: 1, edge: 9},
+        delta_predicates=frozenset({reach}),
+    )
+    return kernel
+
+
+class TestGeneratedSource:
+    def test_golden_source_of_the_recursive_reach_rule(self):
+        kernel = reach_kernel()
+        assert kernel.source() == GOLDEN_REACH_STATIC
+        # The delta variant is the same loop nest reading the delta first.
+        assert kernel.source(0) == GOLDEN_REACH_STATIC.replace(
+            "in database.relation(c0)", "in delta.relation(c0)"
+        )
+
+    def test_source_is_registered_with_linecache(self):
+        kernel = reach_kernel()
+        kernel.run_static(Database())
+        function = kernel._function(None)
+        filename = function.__code__.co_filename
+        assert filename.startswith("<repro-kernel ") and filename.endswith(">")
+        line = linecache.getline(filename, function.__code__.co_firstlineno)
+        assert line == "    def kernel(database, delta, emit, existing):\n"
+        # ... so a traceback out of a kernel shows the generated line.
+        class Exploding:
+            def relation(self, predicate):
+                raise RuntimeError("boom")
+
+            probe = contains = relation
+
+        with pytest.raises(RuntimeError) as caught:
+            kernel.run_static(Exploding())
+        text = "".join(traceback.format_exception(caught.value))
+        assert "for t0 in database.relation(c0):" in text
+
+    def test_names_and_constants_share_one_code_object(self):
+        # Values are bound, never printed: rules differing only in
+        # predicate names and constants generate the same text, so a
+        # re-prepare after a write hits the source memo, not compile().
+        from repro.datalog.engine import executor
+
+        first = reach_kernel()
+        first.run_static(Database())
+        misses = executor._factory.cache_info().misses
+        second = reach_kernel("path", "arc")
+        assert second.source() == first.source()
+        second.run_static(Database())
+        assert executor._factory.cache_info().misses == misses
+        assert second._function(None).__code__ is first._function(None).__code__
+        _, _, with_a = kernel_for("h(X, a) :- p(a, X, b).")
+        _, _, with_z = kernel_for("g(X, 9) :- q(0, X, 'z z').")
+        assert with_a.source() == with_z.source()
+
+    def test_a_sequence_is_generated_on_first_use_only(self):
+        kernel = reach_kernel()
+        assert kernel._functions == {}
+        kernel.run_static(Database())
+        assert set(kernel._functions) == {None}
+
+    @pytest.mark.parametrize(
+        "awkward",
+        [
+            "it's",
+            'say "hi"',
+            "back\\slash",
+            "line\nbreak",
+            "{brace}",
+            float("nan"),
+            -0.0,
+            True,
+            1,
+            ("tuple", 1),
+            None,
+        ],
+        ids=repr,
+    )
+    def test_awkward_values_are_bound_not_printed(self, awkward):
+        from repro.datalog.atoms import Atom
+        from repro.datalog.terms import Constant, Variable
+
+        predicate = f"p {awkward!r}\n\\"
+        X, Y = Variable("X"), Variable("Y")
+        rule = Rule(
+            Atom("h", (X, Constant(awkward))),
+            (
+                Atom(predicate, (Constant(awkward), X)),
+                Atom("q", (X, Y, Constant(awkward))),
+            ),
+        )
+        plan = plan_rule(rule, {predicate: 1, "q": 5})
+        kernel = compile_rule_kernel(plan)
+        database = Database(
+            {
+                predicate: [(awkward, 1), (1, 1), (True, 2), (0.0, 3), ("other", 4)],
+                "q": [(1, 7, awkward), (2, 7, 1), (3, 7, 0.0), (4, 7, "other"), (1, 8, True)],
+            }
+        )
+        expected = interpreted_heads(rule, plan, database)
+        # repr-compare: nan != nan, and 1 == True == 1.0 must stay apart.
+        assert sorted(map(repr, kernel.run_static(database))) == sorted(map(repr, expected))
+        assert "nan" not in kernel.source() and "tuple" not in kernel.source()
+
+
+class TestNestingBoundary:
+    """CPython refuses more than 20 statically nested blocks."""
+
+    @pytest.mark.parametrize("atoms", [16, 17, 24, 40])
+    @pytest.mark.parametrize("layout", ["tuple", "columnar"])
+    def test_deep_chain_bodies_evaluate_like_the_interpreter(self, atoms, layout):
+        body = ", ".join(f"e(X{i}, X{i + 1})" for i in range(atoms))
+        program = parse_program(
+            f"?far(A, B)\nfar(X0, X{atoms}) :- {body}, not e(X{atoms}, X0).\n"
+        )
+        ring = [(node, (node + 1) % 7) for node in range(7)] + [(0, 1, 2)]
+        database = Database({"e": ring}).with_layout(layout)
+        plan = compile_program_plan(program, database)  # no SyntaxError/RecursionError
+        (kernel,) = plan.kernels.values()
+        assert kernel is not None
+        for evaluate in (evaluate_naive, evaluate_seminaive):
+            compiled = evaluate(program, database, compiled=True)
+            interpreted = evaluate(program, database, compiled=False)
+            assert compiled.idb_facts == interpreted.idb_facts
+            assert compiled.statistics == interpreted.statistics
+            assert compiled.relation("far")
+        # The tuple kernel itself, whichever lane the layout picked.
+        tuples = database.with_layout("tuple")
+        assert sorted(kernel.run_static(tuples)) == interpreted_heads(
+            kernel.rule, plan.join_plan(kernel.rule), tuples
+        )
+
+    def test_long_sequences_are_chained_every_sixteen_loops(self):
+        from repro.datalog.engine.executor import MAX_NESTED_LOOPS
+
+        body = ", ".join(f"e(X{i}, X{i + 1})" for i in range(40))
+        _, _, kernel = kernel_for(f"far(X0, X40) :- {body}.")
+        source = kernel.source()
+        assert source.count("def part") == 2
+        deepest = max(len(line) - len(line.lstrip()) for line in source.splitlines())
+        assert deepest <= 4 * (MAX_NESTED_LOOPS + 5)
+
+
+# ----------------------------------------------------------------------
 # Compiled-vs-interpreted parity over the examples catalogue
 # ----------------------------------------------------------------------
 CATALOGUE = [
@@ -268,6 +443,72 @@ def test_all_engines_agree_with_kernels_enabled(program_index, database):
                 continue
             raise
         assert result.answers() == interpreted.answers(), name
+
+
+# ----------------------------------------------------------------------
+# Hypothesis: every generated sequence against the interpreter
+# ----------------------------------------------------------------------
+from collections import Counter
+
+from repro.datalog.incremental import _ExcludeSource, _UnionSource
+from tests.datalog.strategies import kernel_rules, mixed_arity_databases
+
+
+def _split(database, keep):
+    """*database* as (kept part, the rest) by a per-fact coin from *keep*."""
+    kept, rest = Database(), Database()
+    for index, fact in enumerate(database.facts()):
+        side = kept if keep[index % len(keep)] else rest
+        side.add_fact(fact.predicate, fact.as_fact_tuple())
+    return kept, rest
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    kernel_rules,
+    mixed_arity_databases(),
+    mixed_arity_databases(max_size=6),
+    st.lists(st.booleans(), min_size=1, max_size=5),
+)
+def test_every_generated_sequence_fires_like_the_interpreter(rule, database, delta, keep):
+    """Multiset-equal firings, and the returned count, for the static order
+    and every delta position — over a plain ``Database`` (hoisted index
+    handles) and over the sources probed through their bound ``probe``:
+    an ``OverlayDatabase`` with facts on both sides and two of the
+    incremental state views."""
+    estimates = {atom.predicate: database.cardinality(atom.predicate) for atom in rule.body}
+    plan = plan_rule(
+        rule, estimates, delta_predicates=frozenset(atom.predicate for atom in rule.body)
+    )
+    kernel = compile_rule_kernel(plan)
+    assert kernel is not None and kernel.delta_positions == tuple(range(len(rule.body)))
+
+    base, local = _split(database, keep)
+    overlay = base.overlay()
+    overlay.update(local)
+    grouped = {name: set(local.relation(name)) for name in local.predicates()}
+    sources = [
+        database,
+        overlay,
+        _UnionSource(base, grouped),
+        _ExcludeSource(database, {name: set(delta.relation(name)) for name in delta.predicates()}),
+    ]
+    for source in sources:
+        out = []
+        assert kernel.execute_static(source, out.append) == len(out)
+        assert Counter(out) == Counter(interpreted_heads(rule, plan, source))
+        for position in kernel.delta_positions:
+            out = []
+            assert kernel.execute_delta(position, source, delta, out.append) == len(out)
+            assert Counter(out) == Counter(
+                interpreted_heads(rule, plan, source, delta_position=position, delta=delta)
+            )
+    # `existing` filters what is emitted, never what is counted.
+    everything = kernel.run_static(database)
+    seen = set(everything[::2])
+    out = []
+    assert kernel.execute_static(database, out.append, seen) == len(everything)
+    assert out == [values for values in everything if values not in seen]
 
 
 # ----------------------------------------------------------------------

@@ -185,3 +185,52 @@ class TestPortfolio:
         )
         assert result.idb_facts == tuple_result.idb_facts
         assert result.statistics == tuple_result.statistics
+
+    @pytest.mark.parametrize(
+        "name,build",
+        [
+            ("degree", lambda layout: preferential_attachment(200, 3, seed=2, layout=layout)),
+            ("shortest_path", lambda layout: add_successors(grid(8, 6, layout=layout), 24)),
+            (
+                "triangle",
+                lambda layout: add_ordering(random_graph(30, 160, seed=8, layout=layout), 30),
+            ),
+            # An aggregate over nothing: no edge facts, so no group exists.
+            ("degree", lambda layout: grid(1, 1, layout=layout)),
+        ],
+        ids=["degree", "shortest_path", "triangle", "empty_group"],
+    )
+    def test_aggregate_rules_fire_through_a_kernel_body(self, name, build):
+        from repro.datalog.engine import compile_program_plan
+        from repro.datalog.engine.base import is_aggregate_rule
+        from repro.datalog.engine.fixpoint import select_lane
+
+        program = parse_workload(name)
+        database = build("tuple")
+        plan = compile_program_plan(program, database)
+        aggregates = [rule for rule in program.rules if is_aggregate_rule(rule)]
+        assert aggregates
+        for rule in aggregates:
+            # The body kernel rides beside the rule kernels, not among them:
+            # that None is what keeps the columnar lanes off the program.
+            assert plan.kernel(rule) is None
+            assert plan.aggregate_kernel(rule) is not None
+        for engine in (SEMINAIVE, get_engine("naive")):
+            compiled = engine.evaluate(program, database, compiled=True)
+            interpreted = engine.evaluate(program, database, compiled=False)
+            assert compiled.idb_facts == interpreted.idb_facts
+            assert compiled.statistics == interpreted.statistics
+        columnar = build("columnar")
+        assert select_lane(compile_program_plan(program, columnar), columnar, program) == "tuple"
+        assert SEMINAIVE.evaluate(program, columnar).idb_facts == compiled.idb_facts
+
+    def test_compiled_portfolio_never_enters_match_body(self, monkeypatch):
+        from repro.datalog.engine import base
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("match_body reached on the compiled path")
+
+        monkeypatch.setattr(base, "match_body", refuse)
+        database = add_ordering(add_successors(random_graph(20, 80, seed=8), 10), 20)
+        for name in PORTFOLIO:
+            SEMINAIVE.evaluate(parse_workload(name), database)
