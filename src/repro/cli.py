@@ -8,7 +8,6 @@ Usage (after ``pip install -e .``)::
     python -m repro.cli magic    program.dl          # Section 7 quotient-based magic transformation
     python -m repro.cli evaluate program.dl facts.dl # run the program on a database of facts
     python -m repro.cli evaluate q.dl facts.dl --param who=john   # prepared parameterized query
-    python -m repro.cli serve-bench q.dl facts.dl --threads 8     # DatalogService traffic driver
     python -m repro.cli serve /var/lib/datalog       # durable HTTP server (WAL + snapshots)
     python -m repro.cli load-bench --port 8080 --processes 4      # multi-process load driver
     python -m repro.cli engines                      # list the registered evaluation engines
@@ -29,10 +28,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-import threading
-import time
-from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, Optional
 
 from repro.core.boundedness import analyze_boundedness
 from repro.core.chain import ChainProgram
@@ -41,14 +37,12 @@ from repro.core.magic_chain import magic_transform_chain
 from repro.core.propagation import propagate_selection
 from repro.datalog import (
     Database,
-    DatalogService,
     QuerySession,
     format_program,
     parse_facts,
     parse_program,
 )
 from repro.datalog.engine import compile_program_plan, engine_descriptions, get_engine
-from repro.datalog.transforms import MagicSets, PropagateConstants, Rectify
 from repro.errors import ReproError, ValidationError
 from repro.languages.cfg import format_grammar
 from repro.languages.cfg_analysis import enumerate_language
@@ -90,13 +84,6 @@ def _parse_params(pairs: Iterable[str]) -> Dict[str, object]:
             )
         params[name] = _parse_param_value(value.strip())
     return params
-
-
-_TRANSFORMS = {
-    "magic": MagicSets,
-    "rectify": Rectify,
-    "constants": PropagateConstants,
-}
 
 
 def _print_view_result(view) -> None:
@@ -166,6 +153,8 @@ def command_evaluate(arguments: argparse.Namespace) -> int:
     database = _load_database(arguments.facts)
     session = QuerySession(program, database)
     params = _parse_params(arguments.param)
+    # The evaluation knobs, spelled once; every surface below takes them.
+    options = {"max_iterations": arguments.max_iterations, "timeout": arguments.timeout}
     declared = {parameter.name for parameter in program.parameters()}
     if declared:
         # Parameterized template: compile once, execute with the bindings.
@@ -179,13 +168,9 @@ def command_evaluate(arguments: argparse.Namespace) -> int:
             _print(prepared.describe())
             _print()
         if arguments.incremental:
-            _print_view_result(prepared.materialize(params, timeout=arguments.timeout))
+            _print_view_result(prepared.materialize(params, **options))
             return 0
-        result = prepared.execute(
-            params,
-            max_iterations=arguments.max_iterations,
-            timeout=arguments.timeout,
-        )
+        result = prepared.execute(params, **options)
         answers = sorted(result.answers(), key=repr)
         for answer in answers:
             _print("(" + ", ".join(str(value) for value in answer) + ")")
@@ -202,7 +187,7 @@ def command_evaluate(arguments: argparse.Namespace) -> int:
         if arguments.explain:
             _print(session.explain())
             _print()
-        _print_view_result(session.materialize(timeout=arguments.timeout))
+        _print_view_result(session.materialize(**options))
         return 0
     if arguments.explain:
         # Explain the plan for what the engine actually evaluates: engines
@@ -216,7 +201,7 @@ def command_evaluate(arguments: argparse.Namespace) -> int:
             _print(f"engine {arguments.engine!r} rewrites the program before evaluating:")
             rewritten = engine_transform(session.transformed_program)
             _print(compile_program_plan(rewritten, database).describe())
-        elif getattr(engine_object, "supports_planner", False):
+        elif "planner" in engine_object.accepts:
             _print(session.explain(plans=True))
         else:
             _print(session.explain())
@@ -225,139 +210,11 @@ def command_evaluate(arguments: argparse.Namespace) -> int:
                 "no join plan to show"
             )
         _print()
-    result = session.evaluate(
-        engine=arguments.engine,
-        max_iterations=arguments.max_iterations,
-        timeout=arguments.timeout,
-    )
+    result = session.evaluate(arguments.engine, **options)
     answers = sorted(result.answers(), key=repr)
     for answer in answers:
         _print("(" + ", ".join(str(value) for value in answer) + ")")
     _print(f"-- {len(answers)} answers; engine={arguments.engine}; {result.statistics}")
-    return 0
-
-
-def command_serve_bench(arguments: argparse.Namespace) -> int:
-    """Drive a DatalogService with synthetic traffic and report throughput."""
-    with open(arguments.program, "r", encoding="utf-8") as handle:
-        program = parse_program(handle.read())
-    if not program.parameters():
-        raise ValidationError(
-            "serve-bench needs a parameterized goal (e.g. ?anc($who, Y)) so each "
-            "request can carry a different binding"
-        )
-    database = _load_database(arguments.facts)
-    transforms = tuple(_TRANSFORMS[name]() for name in arguments.transform)
-    service = DatalogService(database, cache_size=arguments.cache_size)
-    service.register_program(
-        "bench", program, transforms=transforms, engine=arguments.engine
-    )
-
-    compile_start = time.perf_counter()
-    prepared = service.prepare("bench")
-    prepared.plan()
-    compile_seconds = time.perf_counter() - compile_start
-    names = prepared.parameters
-
-    pool = sorted(database.active_domain(), key=repr)[: max(arguments.distinct, 1)]
-    if not pool:
-        raise ValidationError("the facts file is empty; nothing to bind parameters to")
-
-    def bindings_for(index: int) -> Dict[str, object]:
-        return {
-            name: pool[(index + offset) % len(pool)]
-            for offset, name in enumerate(names)
-        }
-
-    materialize_seconds = 0.0
-    if arguments.materialize:
-        materialize_start = time.perf_counter()
-        for index in range(len(pool)):
-            service.materialize("bench", bindings_for(index))
-        materialize_seconds = time.perf_counter() - materialize_start
-
-    # Interleave write operations evenly: every write adds one synthetic
-    # fact to the program's first EDB relation (at that relation's arity),
-    # and every second write retracts the very same tuple, so the retract
-    # half genuinely exercises deletion maintenance and the database ends
-    # the run near its starting size.  With --materialize each write
-    # maintains the live counting/DRed views instead of recomputing.
-    write_predicate = min(program.edb_predicates(), default=None)
-    writes = max(arguments.writes, 0)
-    if writes and write_predicate is None:
-        raise ValidationError("--writes needs a program with at least one EDB predicate")
-    write_arity = program.predicate_arities().get(write_predicate, 2)
-    write_every = max(arguments.requests // writes, 1) if writes else 0
-    write_latencies: List[float] = []
-    write_lock = threading.Lock()
-    # Write ops are serialized and numbered by this counter (not by request
-    # index): under --threads the retract half of a pair must never overtake
-    # its insert, or it degrades to a no-op.
-    write_counter = [0]
-
-    def write() -> None:
-        with write_lock:
-            index = write_counter[0]
-            write_counter[0] += 1
-            pair = index // 2
-            values = (f"__w{pair}",) + (pool[pair % len(pool)],) * (write_arity - 1)
-            fact = (write_predicate, values)
-            started = time.perf_counter()
-            if index % 2 == 0:
-                service.add_facts([fact])
-            else:
-                service.remove_facts([fact])
-            write_latencies.append(time.perf_counter() - started)
-
-    latencies: List[float] = [0.0] * arguments.requests
-    answer_counts: List[int] = [0] * arguments.requests
-
-    def request(index: int) -> None:
-        if write_every and index % write_every == 0 and index // write_every < writes:
-            write()
-        started = time.perf_counter()
-        answers = service.execute(
-            "bench", bindings_for(index), fresh=arguments.no_cache
-        )
-        latencies[index] = time.perf_counter() - started
-        answer_counts[index] = len(answers)
-
-    wall_start = time.perf_counter()
-    if arguments.threads > 1:
-        with ThreadPoolExecutor(max_workers=arguments.threads) as pool_executor:
-            list(pool_executor.map(request, range(arguments.requests)))
-    else:
-        for index in range(arguments.requests):
-            request(index)
-    wall = time.perf_counter() - wall_start
-
-    ordered = sorted(latencies)
-
-    def percentile(fraction: float) -> float:
-        return ordered[min(len(ordered) - 1, int(fraction * len(ordered)))]
-
-    statistics = service.statistics()
-    _print(f"program    : {arguments.program} (parameters: "
-           + ", ".join(f"${name}" for name in names) + ")")
-    _print(f"transforms : {', '.join(arguments.transform) or '(none)'}; "
-           f"engine={arguments.engine}; prepare+plan {compile_seconds * 1e3:.2f} ms (once)")
-    if arguments.materialize:
-        _print(f"views      : {statistics['materialized_views']} bindings kept live "
-               f"(materialized in {materialize_seconds * 1e3:.2f} ms, once)")
-    _print(f"traffic    : {arguments.requests} requests, {arguments.threads} threads, "
-           f"{len(pool)} distinct constants, {len(write_latencies)} writes")
-    _print(f"wall time  : {wall:.3f} s  ->  {arguments.requests / wall:,.0f} req/s")
-    _print(f"latency    : p50 {percentile(0.50) * 1e3:.3f} ms, "
-           f"p95 {percentile(0.95) * 1e3:.3f} ms, max {ordered[-1] * 1e3:.3f} ms")
-    if write_latencies:
-        sorted_writes = sorted(write_latencies)
-        _print(f"write lat. : p50 {sorted_writes[len(sorted_writes) // 2] * 1e3:.3f} ms, "
-               f"max {sorted_writes[-1] * 1e3:.3f} ms")
-    _print(f"answers    : {sum(answer_counts)} total across all requests")
-    _print(f"cache      : {statistics['cache_hits']} hits, "
-           f"{statistics['cache_misses']} misses, "
-           f"{statistics['view_hits']} view hits, "
-           f"{statistics['executions']} engine executions")
     return 0
 
 
@@ -507,46 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
         "and report its per-stratum maintenance strategy",
     )
     evaluate.set_defaults(handler=command_evaluate)
-
-    serve_bench = subparsers.add_parser(
-        "serve-bench",
-        help="drive a DatalogService with synthetic traffic over a parameterized "
-        "query and report throughput/latency",
-    )
-    serve_bench.add_argument("program", help="program with a parameterized goal")
-    serve_bench.add_argument("facts", help="facts file providing the database")
-    serve_bench.add_argument("--requests", type=int, default=1000, help="total requests")
-    serve_bench.add_argument("--threads", type=int, default=8, help="worker threads")
-    serve_bench.add_argument(
-        "--distinct", type=int, default=32,
-        help="distinct constants drawn from the active domain",
-    )
-    serve_bench.add_argument(
-        "--engine", default=QuerySession.DEFAULT_ENGINE,
-        help="execution engine (default: %(default)s)",
-    )
-    serve_bench.add_argument(
-        "--transform", action="append", default=[], choices=sorted(_TRANSFORMS),
-        help="pipeline stage applied at prepare time (repeatable), e.g. --transform magic",
-    )
-    serve_bench.add_argument(
-        "--cache-size", type=int, default=256, help="bounded LRU result-cache entries"
-    )
-    serve_bench.add_argument(
-        "--no-cache", action="store_true",
-        help="bypass the result cache so every request runs the engine",
-    )
-    serve_bench.add_argument(
-        "--writes", type=int, default=0,
-        help="interleave this many write operations (alternating insert/retract "
-        "of synthetic facts) to measure the mixed read/write regime",
-    )
-    serve_bench.add_argument(
-        "--materialize", action="store_true",
-        help="keep a live materialized view per distinct binding; writes then "
-        "maintain the views incrementally instead of invalidating the cache",
-    )
-    serve_bench.set_defaults(handler=command_serve_bench)
 
     serve = subparsers.add_parser(
         "serve",

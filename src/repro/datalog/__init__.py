@@ -6,6 +6,7 @@ from repro.datalog.engine import (
     DerivationAnalyzer,
     DerivationTree,
     Engine,
+    EvalOptions,
     EvaluationResult,
     EvaluationStatistics,
     Planner,
@@ -52,6 +53,7 @@ __all__ = [
     "DerivationTree",
     "Engine",
     "EvaluationResult",
+    "EvalOptions",
     "EvaluationStatistics",
     "Parameter",
     "Planner",

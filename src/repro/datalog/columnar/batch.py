@@ -30,7 +30,7 @@ harness can assert full equality.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.datalog.columnar.relation import (
     KEY_BITS,
@@ -923,13 +923,11 @@ class PackedLane:
         return Database.adopt(relations)
 
 
-def evaluate_seminaive(
-    program, database, plan, statistics, max_iterations: Optional[int], guard=None
-) -> EvaluationResult:
+def evaluate_seminaive(program, database, plan, statistics, options) -> EvaluationResult:
     """The semi-naive fixpoint on the packed-bigint lane (any head arity).
 
     Lane selection happens before this is reached
     (:func:`repro.datalog.engine.fixpoint.select_lane`); *plan* must be one
     :func:`plan_supported` accepts.
     """
-    return run(PackedLane(database, plan, statistics, guard), program, database, max_iterations)
+    return run(PackedLane(database, plan, statistics, options.guard), program, database, options)

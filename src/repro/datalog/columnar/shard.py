@@ -606,15 +606,7 @@ class ShardedLane(PackedLane):
         return buckets
 
 
-def evaluate_seminaive_sharded(
-    program,
-    database,
-    plan,
-    statistics,
-    max_iterations: Optional[int],
-    guard=None,
-    workers: int = 2,
-) -> EvaluationResult:
+def evaluate_seminaive_sharded(program, database, plan, statistics, options) -> EvaluationResult:
     """The semi-naive fixpoint with process-sharded recursive rounds.
 
     The same loop as every other lane
@@ -622,9 +614,9 @@ def evaluate_seminaive_sharded(
     step; model and statistics are identical to the serial packed lane's.
     The lane is closed on every exit, so an abort joins the pools.
     """
-    lane = ShardedLane(database, plan, statistics, guard, workers)
+    lane = ShardedLane(database, plan, statistics, options.guard, options.workers)
     try:
-        return run(lane, program, database, max_iterations)
+        return run(lane, program, database, options)
     finally:
         lane.close()
 

@@ -65,10 +65,6 @@ _UNSET = object()
 _MAX_CODES = 1 << 30
 
 
-def available() -> bool:
-    return np is not None
-
-
 def supported(plan, table, program) -> bool:
     """Whether this evaluation can run entirely on the vector lane."""
     if np is None:
@@ -748,8 +744,6 @@ class VectorLane:
         return LazyDecodedDatabase.defer(decode)
 
 
-def evaluate_seminaive(
-    program, database, plan, statistics, max_iterations: Optional[int], guard=None
-) -> EvaluationResult:
+def evaluate_seminaive(program, database, plan, statistics, options) -> EvaluationResult:
     """The semi-naive fixpoint on the vector lane; *plan* must be :func:`supported`."""
-    return run(VectorLane(database, plan, statistics, guard), program, database, max_iterations)
+    return run(VectorLane(database, plan, statistics, options.guard), program, database, options)

@@ -3,8 +3,9 @@
 The paper (conf_pods_BeeriKBR87) is a comparison of evaluation strategies
 for a selection query, and this package mirrors that: every strategy is an
 :class:`~repro.datalog.engine.registry.Engine` — an object with a ``name``
-and an ``evaluate(program, database, *, max_iterations=None)`` method
-returning an :class:`EvaluationResult` — registered under a stable name.
+and an ``evaluate(program, database, **options)`` method returning an
+:class:`EvaluationResult` — registered under a stable name; the options
+are one :class:`EvalOptions`, the same on every engine and every surface.
 
 The supported workflow::
 
@@ -37,6 +38,7 @@ releases and have been removed.
 from repro.datalog.engine.base import EvaluationResult, select_answers
 from repro.datalog.engine.derivation import DerivationAnalyzer, DerivationTree
 from repro.datalog.engine.executor import RuleKernel, StepKernel, compile_rule_kernel
+from repro.datalog.engine.options import EvalOptions
 from repro.datalog.engine.planner import (
     JoinPlan,
     Planner,
@@ -65,6 +67,7 @@ __all__ = [
     "Engine",
     "EngineNotApplicableError",
     "EngineNotFoundError",
+    "EvalOptions",
     "EvaluationResult",
     "EvaluationStatistics",
     "FunctionEngine",

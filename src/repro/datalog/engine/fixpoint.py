@@ -34,8 +34,9 @@ from repro.datalog.engine.base import (
     fire_rule_delta,
     split_aggregate_rules,
 )
-from repro.datalog.engine.parallel import evaluate_strata, resolve_workers
-from repro.datalog.engine.planner import Planner, ProgramPlan
+from repro.datalog.engine.options import EvalOptions, resolve
+from repro.datalog.engine.parallel import evaluate_strata
+from repro.datalog.engine.planner import ProgramPlan
 from repro.datalog.engine.stats import EvaluationStatistics
 from repro.datalog.program import Program
 from repro.errors import EvaluationError
@@ -81,15 +82,17 @@ class TupleLane:
     """
 
     __slots__ = (
-        "plan", "working", "statistics", "guard", "compiled", "collect", "add_fact", "_aggregates"
+        "plan", "working", "statistics", "options", "guard", "compiled", "collect", "add_fact",
+        "_aggregates",
     )
 
-    def __init__(self, plan, working, statistics, guard=None, compiled=True, collect=None):
+    def __init__(self, plan, working, statistics, options=EvalOptions(), collect=None):
         self.plan = plan
         self.working = working
         self.statistics = statistics
-        self.guard = guard
-        self.compiled = compiled
+        self.options = options
+        self.guard = options.guard
+        self.compiled = options.compiled is not False
         self.collect = collect
         self.add_fact = working.add_fact
         self._aggregates: Tuple = ()
@@ -147,9 +150,7 @@ class TupleLane:
 
     def overlay(self, statistics) -> "TupleLane":
         """A private lane over a copy-on-write overlay of the working set."""
-        return TupleLane(
-            self.plan, self.working.overlay(), statistics, self.guard, self.compiled, collect={}
-        )
+        return TupleLane(self.plan, self.working.overlay(), statistics, self.options, collect={})
 
     def absorb(self, child: "TupleLane") -> None:
         """Fold what an :meth:`overlay` lane derived into this working set."""
@@ -158,9 +159,13 @@ class TupleLane:
 
 
 def select_lane(
-    plan, database, program, *, compiled: bool = True, workers: int = 1, naive: bool = False
+    plan, database, program, options: Optional[EvalOptions] = None, *, naive: bool = False,
+    **keywords,
 ) -> str:
     """Name the lane an evaluation runs on — the one place it is decided.
+
+    Reads ``compiled`` and ``workers`` from *options* (or from the same
+    keywords every evaluating surface takes).
 
     ``"tuple"`` unless the database has the columnar layout, the compiled
     kernels are on and every stratum rule has one to lower (aggregate
@@ -170,7 +175,8 @@ def select_lane(
     semi-naive run the sharded lane accepts, else ``"packed"``.  Naive has
     no deltas to shard.
     """
-    if not compiled or getattr(database, "layout", "tuple") != "columnar":
+    options = resolve(options, keywords)
+    if options.compiled is False or getattr(database, "layout", "tuple") != "columnar":
         return "tuple"
     from repro.datalog.columnar import batch, shard, vector
 
@@ -178,52 +184,47 @@ def select_lane(
         return "tuple"
     if vector.supported(plan, database.columnar_store().table, program):
         return "vector"
-    if not naive and shard.applicable(plan, workers):
+    if not naive and shard.applicable(plan, options.workers or 1):
         return "sharded"
     return "packed"
 
 
+#: The option fields :func:`evaluate` (and the lanes under it) reads.
+ACCEPTS = frozenset({"max_iterations", "planner", "plan", "compiled", "guard", "workers"})
+
+
 def evaluate(
-    program: Program,
-    database: Database,
-    max_iterations: Optional[int] = None,
-    planner: Optional[Planner] = None,
-    plan: Optional[ProgramPlan] = None,
-    compiled: bool = True,
-    guard=None,
-    workers: Optional[int] = None,
-    *,
-    naive: bool,
+    program: Program, database: Database, options: EvalOptions = EvalOptions(), *, naive: bool
 ) -> EvaluationResult:
     """Compute the minimum model of *program* over *database* bottom-up.
 
     *database* is never modified: every lane evaluates over working state
     of its own, so an abort leaves the input untouched.
 
-    *planner*, when supplied (a :class:`~repro.datalog.engine.planner.Planner`,
+    ``options.planner``, when set (a :class:`~repro.datalog.engine.planner.Planner`,
     normally the :class:`~repro.datalog.session.QuerySession`'s), serves the
     compiled :class:`~repro.datalog.engine.planner.ProgramPlan` from its
     cache across repeated evaluations; otherwise the plan is compiled fresh.
-    *plan*, when supplied (the prepared-query path), is used as-is — the
+    ``options.plan``, when set (the prepared-query path), is used as-is — the
     caller guarantees it was compiled for this program's proper rules; the
     program may additionally carry ground fact rules (per-binding seeds),
     which are loaded before the fixpoint like any other facts.
-    ``max_iterations`` bounds the *total* fixpoint rounds across all strata;
-    exceeding it raises :class:`~repro.errors.EvaluationError`.
+    ``options.max_iterations`` bounds the *total* fixpoint rounds across all
+    strata; exceeding it raises :class:`~repro.errors.EvaluationError`.
 
-    *compiled* selects the rule evaluator: the default runs every rule that
-    has a compiled slot kernel (:mod:`repro.datalog.engine.executor`)
+    ``options.compiled`` selects the rule evaluator: the default runs every
+    rule that has a compiled slot kernel (:mod:`repro.datalog.engine.executor`)
     through it; rules without one — and all rules when ``compiled=False``,
     the baseline the kernel benchmarks time against — run through the
     interpreted :func:`~repro.datalog.engine.base.match_body` path.
 
-    *guard*, when supplied (an armed
+    ``options.guard``, when set (an armed
     :class:`~repro.datalog.guard.ExecutionGuard`), is checkpointed at every
     round boundary (and between kernel batches on the columnar lanes): a
     deadline, budget, or cancellation abort raises its typed error.
 
-    *workers*, when > 1, enables the parallel layer: same-depth strata on
-    threads on the tuple lane (:mod:`repro.datalog.engine.parallel`),
+    ``options.workers``, when > 1, enables the parallel layer: same-depth
+    strata on threads on the tuple lane (:mod:`repro.datalog.engine.parallel`),
     process-sharded recursive rounds for a semi-naive run on the packed
     lane (:mod:`repro.datalog.columnar.shard`).  The model and statistics
     are identical to the serial run at any worker count.
@@ -232,61 +233,57 @@ def evaluate(
     of the delta variants — same strata, same plans, same lanes.
     """
     program.validate()
-    workers_n = resolve_workers(workers)
     statistics = EvaluationStatistics()
 
     # The plan reads the *input* database, never a lane's working state,
     # and the lane choice reads the plan — so both resolve before any
     # working copy is made.  compile_program_plan is reached through its
     # module so a wrapper installed there (the ledger's tracer) sees it.
+    plan = options.plan
     if plan is not None:
         statistics.record_plan(cache_hit=True)
-    elif planner is not None:
-        plan = planner.plan(program, database, statistics=statistics)
+    elif options.planner is not None:
+        plan = options.planner.plan(program, database, statistics=statistics)
     else:
         plan = planning.compile_program_plan(program, database)
         statistics.record_plan(cache_hit=False)
 
-    lane_name = select_lane(
-        plan, database, program, compiled=compiled, workers=workers_n, naive=naive
-    )
+    lane_name = select_lane(plan, database, program, options, naive=naive)
     if lane_name == "tuple":
-        lane = TupleLane(plan, database.copy(), statistics, guard, compiled)
-        return run(lane, program, database, max_iterations, naive=naive, threads=workers_n)
+        lane = TupleLane(plan, database.copy(), statistics, options)
+        return run(lane, program, database, options, naive=naive)
     from repro.datalog.columnar import batch, shard, vector
 
     if lane_name == "sharded":
-        return shard.evaluate_seminaive_sharded(
-            program, database, plan, statistics, max_iterations, guard=guard, workers=workers_n
-        )
+        return shard.evaluate_seminaive_sharded(program, database, plan, statistics, options)
     module, lane_type = (
         (vector, vector.VectorLane) if lane_name == "vector" else (batch, batch.PackedLane)
     )
     if naive:
-        lane = lane_type(database, plan, statistics, guard)
-        return run(lane, program, database, max_iterations, naive=True)
+        lane = lane_type(database, plan, statistics, options.guard)
+        return run(lane, program, database, options, naive=True)
     # Semi-naive enters through the lane module's own entry point, looked
     # up at call time: that call is the span a tracer times per lane.
-    return module.evaluate_seminaive(
-        program, database, plan, statistics, max_iterations, guard=guard
-    )
+    return module.evaluate_seminaive(program, database, plan, statistics, options)
 
 
 def run(
     lane: Lane,
     program: Program,
     database: Database,
-    max_iterations: Optional[int] = None,
+    options: EvalOptions = EvalOptions(),
     *,
     naive: bool = False,
-    threads: int = 1,
 ) -> EvaluationResult:
     """Drive *lane* through its plan's strata to the fixpoint over *database*.
 
-    *threads* > 1 lets same-depth strata run concurrently; only a lane
-    with ``overlay`` / ``absorb`` (the tuple lane) may be given it.
+    ``options.workers`` > 1 lets same-depth strata run concurrently on a
+    lane with ``overlay`` / ``absorb`` (the tuple lane); the columnar lanes
+    run their strata in order.
     """
     statistics, guard = lane.statistics, lane.guard
+    max_iterations = options.max_iterations
+    threads = (options.workers or 1) if hasattr(lane, "overlay") else 1
     label = "naive" if naive else "semi-naive"
 
     def check_budget() -> None:

@@ -52,19 +52,6 @@ class _SiblingAborted(Exception):
     """Internal: a sibling stratum failed; unwind quietly, it carries the error."""
 
 
-def resolve_workers(workers: Optional[int]) -> int:
-    """Validate the ``workers=`` knob; ``None`` means serial (1)."""
-    if workers is None:
-        return 1
-    if isinstance(workers, bool) or not isinstance(workers, int):
-        raise EvaluationError(
-            f"workers must be a positive int, got {workers!r}"
-        )
-    if workers < 1:
-        raise EvaluationError(f"workers must be >= 1, got {workers}")
-    return workers
-
-
 def depth_groups(strata: Sequence) -> List[List]:
     """Strata partitioned by topological depth, shallowest group first.
 

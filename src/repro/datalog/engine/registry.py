@@ -21,23 +21,21 @@ Engines registered by default:
 ======================  =====================================================
 
 Third-party strategies plug in via :func:`register_engine`; anything with a
-``name`` and an ``evaluate(program, database, *, max_iterations=None)``
-returning an :class:`~repro.datalog.engine.base.EvaluationResult` conforms.
+``name``, an ``accepts`` set and an ``evaluate(program, database, options)``
+returning an :class:`~repro.datalog.engine.base.EvaluationResult` conforms
+(wrap a plain function in :class:`FunctionEngine` to get all three).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Protocol, Tuple, runtime_checkable
+from typing import Callable, Dict, FrozenSet, Optional, Protocol, Tuple, runtime_checkable
 
 from repro.datalog.database import Database
 from repro.datalog.engine.base import EvaluationResult
+from repro.datalog.engine.options import EvalOptions, resolve
 from repro.datalog.program import Program
-from repro.errors import (
-    EngineNotApplicableError,
-    EngineNotFoundError,
-    EvaluationError,
-)
+from repro.errors import EngineNotApplicableError, EngineNotFoundError, ValidationError
 
 __all__ = [
     "Engine",
@@ -57,24 +55,29 @@ __all__ = [
 class Engine(Protocol):
     """What an evaluation strategy must provide to join the registry.
 
-    Engines that can exploit a shared join/stratification plan cache
-    additionally expose a truthy ``supports_planner`` attribute and accept a
-    ``planner=`` keyword (a :class:`~repro.datalog.engine.planner.Planner`)
-    in ``evaluate``; callers such as :class:`~repro.datalog.session.QuerySession`
-    only pass one when the engine advertises support, so plain engines need
-    not know planning exists.
+    ``accepts`` names the :class:`~repro.datalog.engine.options.EvalOptions`
+    fields the engine honours.  Callers hand every engine the same options
+    object; :meth:`EvalOptions.checked` — called by the engine on entry —
+    is what turns a field the engine would ignore into a dropped hint
+    (``planner``) or a typed error (everything else), so plain engines need
+    not know the knobs they lack exist.
     """
 
     name: str
+    accepts: FrozenSet[str]
 
     def evaluate(
         self,
         program: Program,
         database: Database,
-        *,
-        max_iterations: Optional[int] = None,
+        options: Optional[EvalOptions] = None,
+        **keywords,
     ) -> EvaluationResult:
-        """Answer the program's goal over *database*; never mutates the input."""
+        """Answer the program's goal over *database*; never mutates the input.
+
+        The knobs arrive as one :class:`EvalOptions` or as its keywords
+        (``max_iterations=``, ``timeout=``, ``workers=``, …), never both.
+        """
         ...  # pragma: no cover
 
 
@@ -132,93 +135,27 @@ def engine_descriptions() -> Dict[str, str]:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class FunctionEngine:
-    """Adapter turning an ``evaluate(program, database, max_iterations)`` function into an Engine.
+    """Adapter turning an ``evaluate(program, database, options)`` function into an Engine.
 
-    ``supports_planner`` marks functions that also accept ``planner=`` and
-    ``plan=`` keywords (the bottom-up engines); a planner passed to an
-    engine that does not is simply ignored — it is a performance hint,
-    never semantics.  A precompiled ``plan`` is different: it *is*
-    semantics (it carries the strata the engine executes), so passing one
-    to an engine that cannot honour it raises.
-
-    ``supports_compiled`` marks functions with the compiled-kernel toggle
-    (a ``compiled=`` keyword): the public way to run the interpreted
-    ``match_body`` baseline is ``get_engine("seminaive").evaluate(...,
-    compiled=False)``.  Asking a toggle-less engine for it raises rather
-    than silently timing the wrong thing.
-
-    ``supports_guard`` marks functions that accept a ``guard=`` keyword (an
-    armed :class:`~repro.datalog.guard.ExecutionGuard`) and call its
-    checkpoints cooperatively.  Like ``max_iterations``, a guard is a safety
-    valve: passing one to an engine that would ignore it raises instead of
-    silently running unbounded.
-
-    ``supports_workers`` marks functions that accept a ``workers=`` keyword
-    (the parallel evaluation layer: depth-concurrent strata and sharded
-    columnar deltas).  Requesting ``workers`` from an engine without the
-    layer raises rather than silently running serial — the caller asked
-    for a scaling behaviour, not a hint.
+    *accepts* declares the option fields the function reads; anything else
+    a caller sets is rejected (or, for the ``planner`` hint, dropped) before
+    the function runs.
     """
 
     name: str
     description: str
-    function: Callable[..., EvaluationResult]
-    supports_max_iterations: bool = True
-    supports_planner: bool = False
-    supports_compiled: bool = False
-    supports_guard: bool = False
-    supports_workers: bool = False
+    function: Callable[[Program, Database, EvalOptions], EvaluationResult]
+    accepts: FrozenSet[str] = frozenset({"max_iterations"})
 
     def evaluate(
         self,
         program: Program,
         database: Database,
-        *,
-        max_iterations: Optional[int] = None,
-        planner=None,
-        plan=None,
-        compiled: Optional[bool] = None,
-        guard=None,
-        workers: Optional[int] = None,
+        options: Optional[EvalOptions] = None,
+        **keywords,
     ) -> EvaluationResult:
-        kwargs = {}
-        if self.supports_planner and planner is not None:
-            kwargs["planner"] = planner
-        if plan is not None:
-            if not self.supports_planner:
-                raise EvaluationError(
-                    f"engine {self.name!r} cannot execute a precompiled plan"
-                )
-            kwargs["plan"] = plan
-        if compiled is not None:
-            if not self.supports_compiled:
-                raise EvaluationError(
-                    f"engine {self.name!r} has no compiled/interpreted toggle"
-                )
-            kwargs["compiled"] = compiled
-        if guard is not None:
-            if not self.supports_guard:
-                # Silently dropping a guard would run the query unbounded.
-                raise EvaluationError(
-                    f"engine {self.name!r} does not support cooperative guards"
-                )
-            kwargs["guard"] = guard
-        if workers is not None:
-            if not self.supports_workers:
-                # Silently running serial would misreport the scaling the
-                # caller explicitly asked for.
-                raise EvaluationError(
-                    f"engine {self.name!r} does not support parallel workers"
-                )
-            kwargs["workers"] = workers
-        if self.supports_max_iterations:
-            return self.function(program, database, max_iterations=max_iterations, **kwargs)
-        if max_iterations is not None:
-            # Silently running unbounded would defeat the caller's safety valve.
-            raise EvaluationError(
-                f"engine {self.name!r} does not support max_iterations"
-            )
-        return self.function(program, database, **kwargs)
+        options = resolve(options, keywords).checked(f"engine {self.name!r}", self.accepts)
+        return self.function(program, database, options)
 
 
 @dataclass(frozen=True)
@@ -237,78 +174,32 @@ class TransformedEngine:
     delegate: str = "seminaive"
 
     @property
-    def supports_planner(self) -> bool:
-        """Forward a planner exactly when the delegate engine can use one."""
-        return bool(getattr(get_engine(self.delegate), "supports_planner", False))
-
-    @property
-    def supports_guard(self) -> bool:
-        """Forward a guard exactly when the delegate engine honours one."""
-        return bool(getattr(get_engine(self.delegate), "supports_guard", False))
-
-    @property
-    def supports_workers(self) -> bool:
-        """Forward a worker count exactly when the delegate engine scales."""
-        return bool(getattr(get_engine(self.delegate), "supports_workers", False))
+    def accepts(self) -> FrozenSet[str]:
+        """Whatever the delegate honours, except a precompiled plan: it
+        describes the *unrewritten* program, so running it against the
+        rewrite's output would execute the wrong strata (prepare the query
+        instead — ``QuerySession.prepare`` folds the rewrite into the pipeline)."""
+        return get_engine(self.delegate).accepts - {"plan"}
 
     def evaluate(
         self,
         program: Program,
         database: Database,
-        *,
-        max_iterations: Optional[int] = None,
-        planner=None,
-        plan=None,
-        compiled: Optional[bool] = None,
-        guard=None,
-        workers: Optional[int] = None,
+        options: Optional[EvalOptions] = None,
+        **keywords,
     ) -> EvaluationResult:
-        from repro.errors import ValidationError
-
-        if plan is not None:
-            # A precompiled plan describes the *unrewritten* program; running
-            # it against the rewrite's output would execute the wrong strata.
-            raise EvaluationError(
-                f"engine {self.name!r} rewrites the program per call and cannot "
-                "execute a precompiled plan; prepare the query instead "
-                "(QuerySession.prepare folds the rewrite into the pipeline)"
-            )
+        options = resolve(options, keywords).checked(f"engine {self.name!r}", self.accepts)
         try:
             rewritten = self.transform(program)
         except ValidationError as error:
             raise EngineNotApplicableError(
                 f"engine {self.name!r} cannot rewrite this program: {error}"
             ) from error
-        delegate = get_engine(self.delegate)
-        kwargs = {}
-        if planner is not None and getattr(delegate, "supports_planner", False):
-            kwargs["planner"] = planner
-        if compiled is not None:
-            # The delegate's own toggle check raises if it has none.
-            kwargs["compiled"] = compiled
-        if guard is not None:
-            # The delegate's own support check raises if it ignores guards.
-            kwargs["guard"] = guard
-        if workers is not None:
-            # Likewise: the delegate raises if it cannot scale.
-            kwargs["workers"] = workers
-        return delegate.evaluate(
-            rewritten, database, max_iterations=max_iterations, **kwargs
-        )
-
-
-def _topdown(
-    program: Program,
-    database: Database,
-    max_iterations: Optional[int] = None,
-    guard=None,
-) -> EvaluationResult:
-    from repro.datalog.engine.topdown import _evaluate
-
-    return _evaluate(program, database, max_iterations=max_iterations, guard=guard)
+        return get_engine(self.delegate).evaluate(rewritten, database, options)
 
 
 def _register_builtins() -> None:
+    from repro.datalog.engine import fixpoint, topdown
     from repro.datalog.engine.naive import _evaluate as naive_evaluate
     from repro.datalog.engine.seminaive import _evaluate as seminaive_evaluate
     from repro.datalog.transforms.magic import magic_transform
@@ -319,10 +210,7 @@ def _register_builtins() -> None:
             "naive bottom-up: re-evaluate every rule over the full model until fixpoint"
             " (stratified, planned joins, compiled kernels)",
             naive_evaluate,
-            supports_planner=True,
-            supports_compiled=True,
-            supports_guard=True,
-            supports_workers=True,
+            fixpoint.ACCEPTS,
         )
     )
     register_engine(
@@ -331,18 +219,15 @@ def _register_builtins() -> None:
             "semi-naive bottom-up: differential fixpoint over per-iteration deltas"
             " (stratified, planned joins, compiled kernels)",
             seminaive_evaluate,
-            supports_planner=True,
-            supports_compiled=True,
-            supports_guard=True,
-            supports_workers=True,
+            fixpoint.ACCEPTS,
         )
     )
     register_engine(
         FunctionEngine(
             "topdown",
             "memoizing top-down: tabled resolution exploring only goal-reachable subqueries",
-            _topdown,
-            supports_guard=True,
+            topdown._evaluate,
+            topdown.ACCEPTS,
         )
     )
     register_engine(

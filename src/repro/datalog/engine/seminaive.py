@@ -30,7 +30,5 @@ from repro.datalog.engine import fixpoint
 # Re-exported only because the ledger's tracer wraps the name here.
 from repro.datalog.engine.planner import compile_program_plan  # noqa: F401
 
-#: ``_evaluate(program, database, max_iterations=None, planner=None,
-#: plan=None, compiled=True, guard=None, workers=None)`` — the semi-naive
-#: engine; every parameter is :func:`repro.datalog.engine.fixpoint.evaluate`'s.
+#: The semi-naive engine: ``_evaluate(program, database, options)``.
 _evaluate = functools.partial(fixpoint.evaluate, naive=False)

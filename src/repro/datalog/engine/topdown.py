@@ -28,6 +28,7 @@ from repro.datalog.engine.base import (
     candidate_tuples,
     is_aggregate_rule,
 )
+from repro.datalog.engine.options import EvalOptions
 from repro.datalog.engine.stats import EvaluationStatistics
 from repro.datalog.program import Program
 from repro.datalog.terms import Aggregate, Constant, Variable
@@ -318,13 +319,11 @@ class TopDownEvaluator:
                     yield from self._solve_body(body, position + 1, extended, active, closed)
 
 
-def _evaluate(
-    program: Program,
-    database: Database,
-    goal: Optional[Atom] = None,
-    max_iterations: Optional[int] = None,
-    guard=None,
-):
+#: The option fields :func:`_evaluate` reads.
+ACCEPTS = frozenset({"max_iterations", "guard"})
+
+
+def _evaluate(program: Program, database: Database, options: EvalOptions = EvalOptions()):
     """Build an evaluator, run the goal, return the result (registry entry point)."""
-    evaluator = TopDownEvaluator(program, database, guard=guard)
-    return evaluator.result(goal, max_iterations=max_iterations)
+    evaluator = TopDownEvaluator(program, database, guard=options.guard)
+    return evaluator.result(max_iterations=options.max_iterations)

@@ -89,8 +89,11 @@ class ResourceBudget:
     max_rounds: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.timeout is not None and self.timeout < 0:
-            raise ValueError(f"timeout must be non-negative, got {self.timeout}")
+        if self.timeout is not None:
+            if isinstance(self.timeout, bool) or not isinstance(self.timeout, (int, float)):
+                raise ValueError(f"timeout must be a number of seconds, got {self.timeout!r}")
+            if self.timeout < 0:
+                raise ValueError(f"timeout must be non-negative, got {self.timeout}")
         if self.max_facts is not None and self.max_facts < 0:
             raise ValueError(f"max_facts must be non-negative, got {self.max_facts}")
         if self.max_rounds is not None and self.max_rounds < 0:
@@ -187,16 +190,17 @@ def build_guard(
 ) -> Optional[ExecutionGuard]:
     """The armed guard for one request, or ``None`` when nothing is bounded.
 
-    The common calling convention across :class:`QuerySession`,
-    :class:`PreparedQuery`, and :class:`DatalogService`: ``timeout=`` is
-    shorthand for a deadline-only budget and combines with an explicit
-    ``budget=`` (the tighter wall-clock bound wins).
+    The common calling convention on every evaluating surface (folded into
+    ``guard`` by :meth:`~repro.datalog.engine.options.EvalOptions.capture`):
+    ``timeout=`` is shorthand for a deadline-only budget and combines with
+    an explicit ``budget=`` (the tighter wall-clock bound wins).
     """
     if timeout is None and budget is None and cancellation is None:
         return None
     if budget is None:
         budget = ResourceBudget(timeout=timeout)
     elif timeout is not None:
+        timeout = ResourceBudget(timeout=timeout).timeout  # validated before the merge
         merged = (
             timeout if budget.timeout is None else min(timeout, budget.timeout)
         )

@@ -49,6 +49,7 @@ from repro.datalog.engine.base import (
     select_answers,
     split_rules,
 )
+from repro.datalog.engine.options import EvalOptions, resolve
 from repro.datalog.engine.planner import (
     ProgramPlan,
     Stratum,
@@ -300,7 +301,13 @@ class MaterializedView:
     there; recursive strata fall back to DRed, which needs no counts.
     """
 
-    def __init__(self, program, database: Database, *, compiled: bool = True, guard=None):
+    #: The option fields a view reads (both for the initial build only).
+    ACCEPTS = frozenset({"compiled", "guard"})
+
+    def __init__(
+        self, program, database: Database, options: Optional[EvalOptions] = None, **keywords
+    ):
+        options = resolve(options, keywords).checked("a materialized view", self.ACCEPTS)
         inner = getattr(program, "program", None)
         if not isinstance(program, Program):
             if isinstance(inner, Program):
@@ -325,7 +332,7 @@ class MaterializedView:
                 )
         self._negated = any(rule.negated_body() for rule in program.rules)
         self._program = program
-        self._compiled = compiled
+        self._compiled = options.compiled is not False
         # The model is an independent deep copy: maintenance retracts facts,
         # which an overlay cannot do to its base.
         if isinstance(database, OverlayDatabase):
@@ -404,7 +411,7 @@ class MaterializedView:
         # (the model is a private copy).  Maintenance sweeps mutate the model
         # in place, so they must run to completion — interrupting one would
         # leave the view corrupt — hence the guard is disarmed after _build.
-        self._guard = guard
+        self._guard = options.guard
         self._build()
         self._guard = None
         # Goal-directed join orders for the rederivation check: the head is

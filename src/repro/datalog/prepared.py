@@ -33,15 +33,16 @@ builds the full traffic-facing layer on top.
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from repro.datalog.atoms import Atom
 from repro.datalog.database import Database
 from repro.datalog.engine.base import EvaluationResult
+from repro.datalog.engine.options import EvalOptions, resolve, split_bindings
 from repro.datalog.engine.planner import ProgramPlan, compile_program_plan
 from repro.datalog.engine.registry import get_engine
-from repro.datalog.guard import build_guard
 from repro.datalog.program import Program
 from repro.datalog.terms import Constant, Parameter
 from repro.datalog.transforms.parameters import (
@@ -191,71 +192,25 @@ class BoundQuery:
         """The fully bound goal atom used for answer selection."""
         return self._goal
 
-    def execute(
-        self,
-        *,
-        engine: Optional[str] = None,
-        max_iterations: Optional[int] = None,
-        timeout=None,
-        budget=None,
-        cancellation=None,
-        workers: Optional[int] = None,
-    ) -> EvaluationResult:
-        """Run the engine with this binding's seed facts; return the full result."""
+    def execute(self, options: Optional[EvalOptions] = None, **keywords) -> EvaluationResult:
+        """Run the engine with this binding's seed facts; return the full result.
+
+        The knobs arrive as one :class:`~repro.datalog.engine.options.EvalOptions`
+        or as its keywords (``engine=``, ``max_iterations=``, ``timeout=``, …).
+        """
         return self._prepared._execute_bound(
-            self._bindings,
-            self._goal,
-            engine=engine,
-            max_iterations=max_iterations,
-            timeout=timeout,
-            budget=budget,
-            cancellation=cancellation,
-            workers=workers,
+            self._bindings, self._goal, resolve(options, keywords)
         )
 
-    def answers(
-        self,
-        *,
-        engine: Optional[str] = None,
-        max_iterations: Optional[int] = None,
-        timeout=None,
-        budget=None,
-        cancellation=None,
-        workers: Optional[int] = None,
-    ) -> FrozenSet[Tuple]:
+    def answers(self, options: Optional[EvalOptions] = None, **keywords) -> FrozenSet[Tuple]:
         """Just the goal answers (the common traffic path)."""
-        return self.execute(
-            engine=engine,
-            max_iterations=max_iterations,
-            timeout=timeout,
-            budget=budget,
-            cancellation=cancellation,
-            workers=workers,
-        ).answers()
+        return self.execute(options, **keywords).answers()
 
     def cursor(
-        self,
-        *,
-        engine: Optional[str] = None,
-        max_iterations: Optional[int] = None,
-        batch_size: int = 256,
-        timeout=None,
-        budget=None,
-        cancellation=None,
-        workers: Optional[int] = None,
+        self, options: Optional[EvalOptions] = None, *, batch_size: int = 256, **keywords
     ) -> AnswerCursor:
         """A streaming cursor over this binding's answers."""
-        return AnswerCursor(
-            self.answers(
-                engine=engine,
-                max_iterations=max_iterations,
-                timeout=timeout,
-                budget=budget,
-                cancellation=cancellation,
-                workers=workers,
-            ),
-            batch_size,
-        )
+        return AnswerCursor(self.answers(options, **keywords), batch_size)
 
     def __repr__(self) -> str:
         return f"BoundQuery(goal={self._goal}, bindings={self._bindings!r})"
@@ -463,76 +418,45 @@ class PreparedQuery:
     def execute(
         self,
         bindings: Optional[Mapping[str, object]] = None,
-        *,
-        engine: Optional[str] = None,
-        max_iterations: Optional[int] = None,
-        timeout=None,
-        budget=None,
-        cancellation=None,
-        workers: Optional[int] = None,
-        **kw_bindings,
+        options: Optional[EvalOptions] = None,
+        **keywords,
     ) -> EvaluationResult:
-        """``bind(...)`` + run in one call; bindings may be a mapping or kwargs."""
+        """``bind(...)`` + run in one call; bindings may be a mapping or kwargs.
+
+        Any keyword that is not one of
+        :class:`~repro.datalog.engine.options.EvalOptions`'s is a binding.
+        """
         merged = dict(bindings or {})
-        merged.update(kw_bindings)
-        return self.bind(**merged).execute(
-            engine=engine,
-            max_iterations=max_iterations,
-            timeout=timeout,
-            budget=budget,
-            cancellation=cancellation,
-            workers=workers,
-        )
+        split_bindings(keywords, merged)
+        return self.bind(**merged).execute(options, **keywords)
 
     def answers(
         self,
         bindings: Optional[Mapping[str, object]] = None,
-        *,
-        engine: Optional[str] = None,
-        max_iterations: Optional[int] = None,
-        timeout=None,
-        budget=None,
-        cancellation=None,
-        workers: Optional[int] = None,
-        **kw_bindings,
+        options: Optional[EvalOptions] = None,
+        **keywords,
     ) -> FrozenSet[Tuple]:
-        """The goal answers for one binding."""
-        return self.execute(
-            bindings,
-            engine=engine,
-            max_iterations=max_iterations,
-            timeout=timeout,
-            budget=budget,
-            cancellation=cancellation,
-            workers=workers,
-            **kw_bindings,
-        ).answers()
+        """The goal answers for one binding (:meth:`execute`'s arguments)."""
+        return self.execute(bindings, options, **keywords).answers()
 
-    def uses_shared_fixpoint(
-        self, count: int, engine: Optional[str] = None
-    ) -> bool:
+    def uses_shared_fixpoint(self, count: int, options: EvalOptions = EvalOptions()) -> bool:
         """Whether a *count*-binding batch will run as one shared fixpoint.
 
         True when sharing is sound (:attr:`supports_shared_execution`), the
-        batch has more than one binding, and the engine is a planning
-        bottom-up engine.  Callers accounting for engine work (e.g. the
-        service's execution counter) use this to know how many fixpoints a
-        batch actually costs.
+        batch has more than one binding, and the engine (``options.engine``,
+        else the default) executes a precompiled plan.  Callers accounting
+        for engine work (e.g. the service's execution counter) use this to
+        know how many fixpoints a batch actually costs.
         """
         if count <= 1 or not self.supports_shared_execution:
             return False
-        return bool(getattr(self._resolve_engine(engine), "supports_planner", False))
+        return "plan" in self._resolve_engine(options.engine).accepts
 
     def execute_many(
         self,
         bindings_list: Iterable[Mapping[str, object]],
-        *,
-        engine: Optional[str] = None,
-        max_iterations: Optional[int] = None,
-        timeout=None,
-        budget=None,
-        cancellation=None,
-        workers: Optional[int] = None,
+        options: Optional[EvalOptions] = None,
+        **keywords,
     ) -> List[FrozenSet[Tuple]]:
         """Answers for a batch of bindings, in input order.
 
@@ -545,12 +469,11 @@ class PreparedQuery:
         one unit of work: one shared deadline, one fact/round budget —
         matching how the service admits a batch as a single request.
         """
+        options = resolve(options, keywords)
         checked = [self._check_bindings(bindings) for bindings in bindings_list]
         if not checked:
             return []
-        engine_object = self._resolve_engine(engine)
-        guard = build_guard(timeout, budget, cancellation)
-        if self.uses_shared_fixpoint(len(checked), engine):
+        if self.uses_shared_fixpoint(len(checked), options):
             seeds: Dict[object, None] = {}
             for bindings in checked:
                 for rule in parameter_seed_rules(bindings):
@@ -558,17 +481,10 @@ class PreparedQuery:
             shared_program = Program(
                 self._runtime.rules + tuple(seeds), self._runtime.goal
             )
-            kwargs = {}
-            if guard is not None:
-                kwargs["guard"] = guard
-            if workers is not None:
-                kwargs["workers"] = workers
-            result = engine_object.evaluate(
+            result = self._resolve_engine(options.engine).evaluate(
                 shared_program,
                 self._database.overlay(),
-                max_iterations=max_iterations,
-                plan=self.plan(),
-                **kwargs,
+                dataclasses.replace(options, plan=self.plan()),
             )
             return [
                 result.answers(self.goal_template.bind_parameters(bindings))
@@ -576,12 +492,7 @@ class PreparedQuery:
             ]
         return [
             self._execute_bound(
-                bindings,
-                self.goal_template.bind_parameters(bindings),
-                engine=engine,
-                max_iterations=max_iterations,
-                guard=guard,
-                workers=workers,
+                bindings, self.goal_template.bind_parameters(bindings), options
             ).answers()
             for bindings in checked
         ]
@@ -589,12 +500,8 @@ class PreparedQuery:
     def materialize(
         self,
         bindings: Optional[Mapping[str, object]] = None,
-        *,
-        compiled: bool = True,
-        timeout=None,
-        budget=None,
-        cancellation=None,
-        **kw_bindings,
+        options: Optional[EvalOptions] = None,
+        **keywords,
     ):
         """Bind every parameter and evaluate into a live materialized view.
 
@@ -609,17 +516,12 @@ class PreparedQuery:
         from repro.datalog.incremental import MaterializedView
 
         merged = dict(bindings or {})
-        merged.update(kw_bindings)
+        split_bindings(keywords, merged)
         checked = self._check_bindings(merged)
         seeds = parameter_seed_rules(checked)
         bound_goal = self.goal_template.bind_parameters(checked)
         program = Program(self._runtime.rules + seeds, bound_goal)
-        return MaterializedView(
-            program,
-            self._database,
-            compiled=compiled,
-            guard=build_guard(timeout, budget, cancellation),
-        )
+        return MaterializedView(program, self._database, resolve(options, keywords))
 
     # ------------------------------------------------------------------
     # Internals
@@ -635,21 +537,9 @@ class PreparedQuery:
         return engine_object
 
     def _execute_bound(
-        self,
-        bindings: Mapping[str, object],
-        bound_goal: Atom,
-        *,
-        engine: Optional[str] = None,
-        max_iterations: Optional[int] = None,
-        timeout=None,
-        budget=None,
-        cancellation=None,
-        guard=None,
-        workers: Optional[int] = None,
+        self, bindings: Mapping[str, object], bound_goal: Atom, options: EvalOptions
     ) -> EvaluationResult:
-        engine_object = self._resolve_engine(engine)
-        if guard is None:
-            guard = build_guard(timeout, budget, cancellation)
+        engine_object = self._resolve_engine(options.engine)
         seeds = parameter_seed_rules(bindings)
         if getattr(self._database, "layout", "tuple") == "columnar":
             # Intern the seed constants through the *shared* base table now,
@@ -662,24 +552,13 @@ class PreparedQuery:
                 for value in rule.head.as_fact_tuple():
                     table.intern(value)
         exec_program = Program(self._runtime.rules + seeds, bound_goal)
-        kwargs = {}
-        if guard is not None:
-            kwargs["guard"] = guard
-        if workers is not None:
-            # Forwarded unconditionally: engines without the parallel layer
-            # must raise rather than silently run serial.
-            kwargs["workers"] = workers
-        if getattr(engine_object, "supports_planner", False):
+        if "plan" in engine_object.accepts:
             return engine_object.evaluate(
                 exec_program,
                 self._database.overlay(),
-                max_iterations=max_iterations,
-                plan=self.plan(),
-                **kwargs,
+                dataclasses.replace(options, plan=self.plan()),
             )
-        return engine_object.evaluate(
-            exec_program, self._database, max_iterations=max_iterations, **kwargs
-        )
+        return engine_object.evaluate(exec_program, self._database, options)
 
     def __repr__(self) -> str:
         return (

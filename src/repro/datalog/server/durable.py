@@ -48,6 +48,7 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from repro.datalog.atoms import Atom
 from repro.datalog.database import Database
+from repro.datalog.engine.options import split_bindings
 from repro.datalog.server.snapshot import SnapshotStore
 from repro.datalog.server.wal import WriteAheadLog
 from repro.datalog.service import DatalogService, ServiceDrainingError
@@ -348,9 +349,11 @@ class DurableDatalogService:
             self._maybe_snapshot()
             return removed
 
-    def materialize(self, name: str, params: Optional[Mapping] = None, **kw_params):
+    def materialize(self, name: str, params: Optional[Mapping] = None, **keywords):
+        """:meth:`DatalogService.materialize`, logged; option keywords guard
+        this build only and are not persisted (recovery rebuilds unguarded)."""
         merged = dict(params or {})
-        merged.update(kw_params)
+        split_bindings(keywords, merged)
         normalized = self._normalize_params(merged)
         with self._mutate_lock:
             self._check_open()
@@ -361,7 +364,7 @@ class DurableDatalogService:
             # Apply before logging: materializing an unregistered query (or
             # a binding the prepared query rejects) raises here with nothing
             # written, so replay never sees a record the server refused.
-            view = self._service.materialize(name, normalized)
+            view = self._service.materialize(name, normalized, **keywords)
             self._log({"kind": "materialize", "name": name, "params": normalized})
             self._maybe_snapshot()
             return view
@@ -394,11 +397,11 @@ class DurableDatalogService:
     def data_dir(self) -> str:
         return self._data_dir
 
-    def execute(self, name: str, params: Optional[Mapping] = None, **kwargs):
-        return self._service.execute(name, params, **kwargs)
+    def execute(self, name: str, params: Optional[Mapping] = None, **keywords):
+        return self._service.execute(name, params, **keywords)
 
-    def execute_many(self, name: str, bindings_list, **kwargs):
-        return self._service.execute_many(name, bindings_list, **kwargs)
+    def execute_many(self, name: str, bindings_list, **keywords):
+        return self._service.execute_many(name, bindings_list, **keywords)
 
     def prepare(self, name: str):
         return self._service.prepare(name)

@@ -440,14 +440,19 @@ class DatalogHTTPServer:
             request = {}
         watchdog = None
         if endpoint in _ENGINE_ENDPOINTS:
-            # Reserved keys carry the guard inputs to the handler; the
-            # engine observes them at its next cooperative checkpoint, so
-            # the evaluation thread unwinds at a safe point with nothing
-            # mutated — the pool thread is never killed.
-            request["_timeout"] = self._deadline_for(request.pop("timeout", None))
-            request["_budget"] = self._budget_for(request.pop("budget", None))
+            # One reserved key carries the request's option keywords to the
+            # handler (the service builds its EvalOptions from them, on a
+            # cache miss only); the engine observes the guard inputs at its
+            # next cooperative checkpoint, so the evaluation thread unwinds
+            # at a safe point with nothing mutated — the pool thread is
+            # never killed.
             cancellation = CancellationToken()
-            request["_cancellation"] = cancellation
+            request["_options"] = {
+                "engine": request.get("engine"),
+                "timeout": self._deadline_for(request.pop("timeout", None)),
+                "budget": self._budget_for(request.pop("budget", None)),
+                "cancellation": cancellation,
+            }
             watchdog = loop.create_task(
                 self._watch_disconnect(reader, writer, cancellation)
             )
@@ -542,11 +547,8 @@ class DatalogHTTPServer:
         answers = self._durable.execute(
             str(self._required(request, "name")),
             request.get("params") or {},
-            engine=request.get("engine"),
             fresh=bool(request.get("fresh", False)),
-            timeout=request.get("_timeout"),
-            budget=request.get("_budget"),
-            cancellation=request.get("_cancellation"),
+            **request["_options"],
         )
         return {"answers": _sorted_answers(answers)}
 
@@ -554,10 +556,7 @@ class DatalogHTTPServer:
         results = self._durable.execute_many(
             str(self._required(request, "name")),
             list(self._required(request, "bindings")),
-            engine=request.get("engine"),
-            timeout=request.get("_timeout"),
-            budget=request.get("_budget"),
-            cancellation=request.get("_cancellation"),
+            **request["_options"],
         )
         return {"answers": [_sorted_answers(answers) for answers in results]}
 

@@ -51,7 +51,7 @@ from collections import OrderedDict
 from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from repro.datalog.database import Database
-from repro.datalog.engine.registry import get_engine
+from repro.datalog.engine.options import EvalOptions, split_bindings
 from repro.datalog.incremental import MaterializedView
 from repro.datalog.parser import parse_program
 from repro.datalog.terms import Constant
@@ -88,21 +88,24 @@ class DatalogService:
     ):
         if cache_size < 0:
             raise ValueError("cache_size must be non-negative")
-        if default_timeout is not None and default_timeout < 0:
-            raise ValueError("default_timeout must be non-negative")
-        if workers is not None and (isinstance(workers, bool) or not isinstance(workers, int) or workers < 1):
-            raise ValueError("workers must be a positive int")
         self._database = database if database is not None else Database()
         self._default_engine = default_engine
-        # Wall-clock deadline applied to every execute/execute_many/
-        # materialize call that does not carry its own timeout=; None means
-        # unbounded (the historical behaviour).
-        self._default_timeout = default_timeout
-        # Engine-level parallelism applied to every execute/execute_many
-        # that does not carry its own workers=; None means serial.  Results
-        # are identical either way (the parallel layer's parity contract),
-        # so the answer cache key does not include it.
-        self._workers = workers
+        # Standing option values for every execute/execute_many/materialize
+        # call that leaves them unset: a wall-clock deadline and engine-level
+        # parallelism.  A per-call value is strict (an engine that cannot
+        # honour it raises); these are hints (EvalOptions.capture), dropped
+        # for one that cannot, so one knob can front a mixed-engine registry.
+        # Results are identical at any worker count, so the answer cache key
+        # does not include it.
+        self._defaults = {
+            key: value
+            for key, value in (("timeout", default_timeout), ("workers", workers))
+            if value is not None
+        }
+        try:
+            EvalOptions.capture(self._defaults)  # validated here, not on the first request
+        except EvaluationError as error:
+            raise ValueError(str(error)) from None
         self._cache_size = cache_size
         self._lock = threading.RLock()
         # Called as hook(kind, batch) under the service lock *before* a
@@ -244,26 +247,6 @@ class DatalogService:
     # ------------------------------------------------------------------
     # Traffic path
     # ------------------------------------------------------------------
-    def _effective_timeout(self, timeout: Optional[float]) -> Optional[float]:
-        """The per-request timeout, falling back to the service default."""
-        return timeout if timeout is not None else self._default_timeout
-
-    def _effective_workers(
-        self, prepared: PreparedQuery, engine: Optional[str], workers: Optional[int]
-    ) -> Optional[int]:
-        """Per-call ``workers`` wins (strict: the engine raises if it cannot
-        scale); the service-wide default is a hint and is dropped silently
-        for engines without the parallel layer, so one knob can front a
-        mixed-engine registry."""
-        if workers is not None:
-            return workers
-        if self._workers is None:
-            return None
-        engine_object = get_engine(engine or prepared.default_engine)
-        if getattr(engine_object, "supports_workers", False):
-            return self._workers
-        return None
-
     def _record_abort(self, error: QueryAborted) -> None:
         """Count a guardrail abort (timeouts vs cancellations) and re-raise."""
         with self._lock:
@@ -280,16 +263,14 @@ class DatalogService:
         name: str,
         params: Optional[Mapping[str, object]] = None,
         *,
-        engine: Optional[str] = None,
         fresh: bool = False,
-        max_iterations: Optional[int] = None,
-        timeout: Optional[float] = None,
-        budget=None,
-        cancellation=None,
-        workers: Optional[int] = None,
-        **kw_params,
+        **keywords,
     ) -> FrozenSet[Tuple]:
         """Answers for one request; served from the LRU cache when possible.
+
+        *keywords* are :class:`~repro.datalog.engine.options.EvalOptions`'s
+        (``engine=``, ``max_iterations=``, ``timeout=``, ``workers=``, …);
+        any other keyword is a parameter binding.
 
         The cache key includes the service's write epoch and the snapshot's
         :attr:`Database.version`, so results are never stale: any write
@@ -307,10 +288,14 @@ class DatalogService:
         the typed :class:`~repro.errors.QueryAborted` subclass, bumps the
         ``timeouts``/``cancellations`` counter, and caches nothing — the
         snapshot, views, and cache are exactly as before the request.
-        Cache and view hits never time out: there is no engine to bound.
+        Cache and view hits never time out: there is no engine to bound —
+        which is also why the options are only built on a miss.
         """
         bindings = dict(params or {})
-        bindings.update(kw_params)
+        split_bindings(keywords, bindings)
+        engine = keywords.get("engine")
+        if engine is not None and not isinstance(engine, str):
+            EvalOptions(engine=engine)  # the typed rejection, before it keys the cache
         if self._views and not fresh and engine is None:
             view_key = (name, self._normalize_bindings(bindings))
             with self._lock:
@@ -330,13 +315,7 @@ class DatalogService:
                 self._cache_misses += 1
         try:
             answers = prepared.answers(
-                bindings,
-                engine=engine,
-                max_iterations=max_iterations,
-                timeout=self._effective_timeout(timeout),
-                budget=budget,
-                cancellation=cancellation,
-                workers=self._effective_workers(prepared, engine, workers),
+                bindings, EvalOptions.capture(keywords, self._defaults)
             )
         except QueryAborted as error:
             self._record_abort(error)
@@ -380,16 +359,7 @@ class DatalogService:
         )
 
     def execute_many(
-        self,
-        name: str,
-        bindings_list: Iterable[Mapping[str, object]],
-        *,
-        engine: Optional[str] = None,
-        max_iterations: Optional[int] = None,
-        timeout: Optional[float] = None,
-        budget=None,
-        cancellation=None,
-        workers: Optional[int] = None,
+        self, name: str, bindings_list: Iterable[Mapping[str, object]], **keywords
     ) -> List[FrozenSet[Tuple]]:
         """Answers for a batch of requests, sharing one fixpoint when sound.
 
@@ -398,34 +368,28 @@ class DatalogService:
         its per-binding answers are inserted into the cache afterwards so
         follow-up single requests hit.  The execution counter reflects
         engine work actually done: one for a shared fixpoint, one per
-        binding otherwise.  A *timeout*/*budget*/*cancellation* guard
-        covers the whole batch as one request; an abort caches nothing.
+        binding otherwise.  *keywords* are :meth:`execute`'s options; a
+        *timeout*/*budget*/*cancellation* guard covers the whole batch as
+        one request, and an abort caches nothing.
         """
         materialized = [dict(bindings) for bindings in bindings_list]
         prepared, epoch = self._prepared_entry(name)
+        options = EvalOptions.capture(keywords, self._defaults)
         try:
-            results = prepared.execute_many(
-                materialized,
-                engine=engine,
-                max_iterations=max_iterations,
-                timeout=self._effective_timeout(timeout),
-                budget=budget,
-                cancellation=cancellation,
-                workers=self._effective_workers(prepared, engine, workers),
-            )
+            results = prepared.execute_many(materialized, options)
         except QueryAborted as error:
             self._record_abort(error)
         if materialized:
             engine_runs = (
                 1
-                if prepared.uses_shared_fixpoint(len(materialized), engine)
+                if prepared.uses_shared_fixpoint(len(materialized), options)
                 else len(materialized)
             )
             with self._lock:
                 self._executions += engine_runs
                 if self._cache_size:
                     for bindings, answers in zip(materialized, results):
-                        key = self._cache_key(name, prepared, epoch, bindings, engine)
+                        key = self._cache_key(name, prepared, epoch, bindings, options.engine)
                         self._cache[key] = answers
                         self._cache.move_to_end(key)
                     while len(self._cache) > self._cache_size:
@@ -437,39 +401,18 @@ class DatalogService:
         name: str,
         params: Optional[Mapping[str, object]] = None,
         *,
-        engine: Optional[str] = None,
         batch_size: int = 256,
-        max_iterations: Optional[int] = None,
-        timeout: Optional[float] = None,
-        budget=None,
-        cancellation=None,
-        **kw_params,
+        **keywords,
     ) -> AnswerCursor:
-        """A streaming cursor over one request's answers (cache-served)."""
-        answers = self.execute(
-            name,
-            params,
-            engine=engine,
-            max_iterations=max_iterations,
-            timeout=timeout,
-            budget=budget,
-            cancellation=cancellation,
-            **kw_params,
-        )
-        return AnswerCursor(answers, batch_size)
+        """A streaming cursor over one request's answers (:meth:`execute`'s
+        keywords; cache-served)."""
+        return AnswerCursor(self.execute(name, params, **keywords), batch_size)
 
     # ------------------------------------------------------------------
     # Materialized views
     # ------------------------------------------------------------------
     def materialize(
-        self,
-        name: str,
-        params: Optional[Mapping[str, object]] = None,
-        *,
-        timeout: Optional[float] = None,
-        budget=None,
-        cancellation=None,
-        **kw_params,
+        self, name: str, params: Optional[Mapping[str, object]] = None, **keywords
     ) -> MaterializedView:
         """Evaluate one binding of *name* into a live materialized view.
 
@@ -480,16 +423,24 @@ class DatalogService:
         engine-independent (the minimum model is), so the per-query engine
         choice does not apply to materialized bindings.
 
-        The *timeout*/*budget*/*cancellation* guard covers the initial
+        *keywords* are :meth:`execute`'s options, as far as a view honours
+        them.  The *timeout*/*budget*/*cancellation* guard covers the initial
         build only: an abort discards the half-built view (no view is
         installed, the snapshot untouched) and bumps the abort counters.
         Once installed, a view's maintenance under writes is never
         interrupted — it must run to completion to stay consistent.
         """
         bindings = dict(params or {})
-        bindings.update(kw_params)
-        effective = self._effective_timeout(timeout)
+        split_bindings(keywords, bindings)
         key = (name, self._normalize_bindings(bindings))
+
+        def build(prepared: PreparedQuery) -> MaterializedView:
+            options = EvalOptions.capture(keywords, self._defaults)
+            try:
+                return prepared.materialize(bindings, options)
+            except QueryAborted as error:
+                self._record_abort(error)
+
         # The initial evaluation can be expensive, so it runs outside the
         # service lock (concurrent traffic never waits on a view build).  A
         # write landing mid-build invalidates the snapshot the build used —
@@ -502,15 +453,7 @@ class DatalogService:
                 if view is not None:
                     return view
                 prepared, epoch = self._prepared_entry(name)
-            try:
-                built = prepared.materialize(
-                    bindings,
-                    timeout=effective,
-                    budget=budget,
-                    cancellation=cancellation,
-                )
-            except QueryAborted as error:
-                self._record_abort(error)
+            built = build(prepared)
             with self._lock:
                 view = self._views.get(key)
                 if view is not None:
@@ -521,16 +464,7 @@ class DatalogService:
         with self._lock:
             view = self._views.get(key)
             if view is None:
-                try:
-                    view = self._prepared_entry(name)[0].materialize(
-                        bindings,
-                        timeout=effective,
-                        budget=budget,
-                        cancellation=cancellation,
-                    )
-                except QueryAborted as error:
-                    self._record_abort(error)
-                self._views[key] = view
+                view = self._views[key] = build(self._prepared_entry(name)[0])
             return view
 
     def materialized_bindings(self) -> Tuple[Tuple[str, FrozenSet], ...]:

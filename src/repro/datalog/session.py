@@ -29,13 +29,13 @@ from typing import Dict, FrozenSet, Iterable, Optional, Tuple
 
 from repro.datalog.database import Database
 from repro.datalog.engine.base import EvaluationResult
+from repro.datalog.engine.options import EvalOptions
 from repro.datalog.engine.planner import Planner, ProgramPlan
 from repro.datalog.engine.registry import (
     EngineNotApplicableError,
     available_engines,
     get_engine,
 )
-from repro.datalog.guard import build_guard
 from repro.datalog.prepared import PreparedQuery
 from repro.datalog.program import Program
 from repro.datalog.transforms.pipeline import Pipeline, PipelineOutcome, Transform
@@ -186,7 +186,7 @@ class QuerySession:
             self._prepared[engine] = prepared
         return prepared
 
-    def materialize(self, *, compiled: bool = True, timeout=None, budget=None, cancellation=None):
+    def materialize(self, **keywords):
         """Evaluate once into a live :class:`~repro.datalog.incremental.MaterializedView`.
 
         The view owns its own copy of the model plus per-fact support counts
@@ -197,7 +197,8 @@ class QuerySession:
         too.  Parameterized templates must be prepared and bound first
         (:meth:`PreparedQuery.materialize <repro.datalog.prepared.PreparedQuery.materialize>`).
 
-        *timeout* / *budget* / *cancellation* guard the initial build only
+        *keywords* are :class:`~repro.datalog.engine.options.EvalOptions`'s.
+        A *timeout* / *budget* / *cancellation* guards the initial build only
         (an abort discards the half-built view, this session's database
         untouched); once constructed, maintenance runs unguarded — see
         :class:`~repro.datalog.incremental.MaterializedView`.
@@ -205,27 +206,20 @@ class QuerySession:
         from repro.datalog.incremental import MaterializedView
 
         return MaterializedView(
-            self.transformed_program,
-            self._database,
-            compiled=compiled,
-            guard=build_guard(timeout, budget, cancellation),
+            self.transformed_program, self._database, EvalOptions.capture(keywords)
         )
 
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
     def evaluate(
-        self,
-        engine: str = DEFAULT_ENGINE,
-        *,
-        max_iterations: Optional[int] = None,
-        fresh: bool = False,
-        timeout=None,
-        budget=None,
-        cancellation=None,
-        workers: Optional[int] = None,
+        self, engine: str = DEFAULT_ENGINE, *, fresh: bool = False, **keywords
     ) -> EvaluationResult:
         """Run the transformed program under the named engine.
+
+        *keywords* are :class:`~repro.datalog.engine.options.EvalOptions`'s
+        (``max_iterations=``, ``workers=``, ``compiled=``, …); the session's
+        own :attr:`planner` is used unless one is passed.
 
         Results are cached per ``(engine, max_iterations, workers)`` and
         invalidated automatically when the database mutates (its
@@ -242,65 +236,33 @@ class QuerySession:
         and caches normally.
 
         *workers*, when > 1, enables the parallel evaluation layer on
-        engines that support it (``supports_workers``); results and
-        statistics are identical to serial at any worker count, but runs
-        are cached separately so benchmarks can time both.
+        engines that have it; results and statistics are identical to
+        serial at any worker count, but runs are cached separately so
+        benchmarks can time both.
         """
+        options = EvalOptions.capture({"planner": self._planner, **keywords, "engine": engine})
         if self._database.version != self._results_version:
             self._results.clear()
             self._results_version = self._database.version
         resolved = get_engine(engine)
-        key = (engine, max_iterations, workers)
+        key = (engine, options.max_iterations, options.workers)
         cached = self._results.get(key)
         # Identity-compare against the engine that produced the cached result,
         # so register_engine(..., replace=True) never serves stale results
         # (holding the object also keeps its id from being recycled).
         if fresh or cached is None or cached[0] is not resolved:
-            kwargs = {}
-            if getattr(resolved, "supports_planner", False):
-                kwargs["planner"] = self._planner
-            guard = build_guard(timeout, budget, cancellation)
-            if guard is not None:
-                kwargs["guard"] = guard
-            if workers is not None:
-                # Forwarded unconditionally: an engine without the parallel
-                # layer must raise, not silently run serial.
-                kwargs["workers"] = workers
-            result = resolved.evaluate(
-                self.transformed_program,
-                self._database,
-                max_iterations=max_iterations,
-                **kwargs,
-            )
+            result = resolved.evaluate(self.transformed_program, self._database, options)
             self._results[key] = (resolved, result)
         return self._results[key][1]
 
-    def answers(
-        self,
-        engine: str = DEFAULT_ENGINE,
-        *,
-        max_iterations: Optional[int] = None,
-        fresh: bool = False,
-        timeout=None,
-        budget=None,
-        cancellation=None,
-        workers: Optional[int] = None,
-    ) -> FrozenSet[Tuple]:
-        """The goal answers under the named engine.
+    def answers(self, engine: str = DEFAULT_ENGINE, **keywords) -> FrozenSet[Tuple]:
+        """The goal answers under the named engine (:meth:`evaluate`'s keywords).
 
         Like :meth:`evaluate`, answers are cached but never stale: database
         mutations invalidate the cache automatically.  ``fresh=True`` still
         forces a re-run (e.g. for timing).
         """
-        return self.evaluate(
-            engine,
-            max_iterations=max_iterations,
-            fresh=fresh,
-            timeout=timeout,
-            budget=budget,
-            cancellation=cancellation,
-            workers=workers,
-        ).answers()
+        return self.evaluate(engine, **keywords).answers()
 
     def refresh(self) -> "QuerySession":
         """Drop all cached evaluation results unconditionally.
@@ -313,12 +275,12 @@ class QuerySession:
         return self
 
     def compare(
-        self,
-        engines: Optional[Iterable[str]] = None,
-        *,
-        max_iterations: Optional[int] = None,
+        self, engines: Optional[Iterable[str]] = None, **keywords
     ) -> Dict[str, EvaluationResult]:
         """Evaluate under several engines (default: all registered) and collect results.
+
+        *keywords* are :meth:`evaluate`'s and apply to every engine, so an
+        option some engine does not support fails the comparison.
 
         When running the default portfolio, engines whose rewrite rejects the
         program up front (raising :class:`EngineNotApplicableError`, e.g.
@@ -337,7 +299,7 @@ class QuerySession:
         results: Dict[str, EvaluationResult] = {}
         for name in names:
             try:
-                results[name] = self.evaluate(name, max_iterations=max_iterations)
+                results[name] = self.evaluate(name, **keywords)
             except EngineNotApplicableError:
                 if explicit:
                     raise

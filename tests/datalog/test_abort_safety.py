@@ -25,7 +25,7 @@ from .strategies import edge_databases
 GUARD_ENGINES = tuple(
     name
     for name in available_engines()
-    if getattr(get_engine(name), "supports_guard", False)
+    if "guard" in get_engine(name).accepts
 )
 
 #: The program shapes of strategies.PROGRAM_POOL with *bound* goals, so the

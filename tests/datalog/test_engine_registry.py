@@ -75,24 +75,6 @@ def test_engine_evaluate_returns_evaluation_result():
     assert result.answers() == evaluate_seminaive(program_a().program, database).answers()
 
 
-def test_max_iterations_is_forwarded():
-    from repro.errors import EvaluationError
-
-    database = parent_forest(120, seed=10, root_count=1)
-    with pytest.raises(EvaluationError):
-        get_engine("seminaive").evaluate(program_a().program, database, max_iterations=1)
-
-
-def test_topdown_honours_max_iterations():
-    from repro.errors import EvaluationError
-
-    database = parent_forest(120, seed=10, root_count=1)
-    with pytest.raises(EvaluationError, match="top-down"):
-        get_engine("topdown").evaluate(program_a().program, database, max_iterations=1)
-    result = get_engine("topdown").evaluate(program_a().program, database, max_iterations=None)
-    assert result.answers()
-
-
 def test_topdown_max_iterations_is_per_query_not_per_evaluator():
     from repro.datalog.engine import TopDownEvaluator
 
@@ -104,19 +86,6 @@ def test_topdown_max_iterations_is_per_query_not_per_evaluator():
     # A second query on the warm, already-converged evaluator must not trip a
     # limit the first query fit within.
     assert evaluator.query(max_iterations=used) == first
-
-
-def test_function_engine_rejects_unsupported_max_iterations():
-    from repro.errors import EvaluationError
-
-    def bare(program, database):
-        return evaluate_seminaive(program, database)
-
-    engine = FunctionEngine("bare", "no safety valve", bare, supports_max_iterations=False)
-    database = parent_forest(30, seed=11, root_count=1)
-    assert engine.evaluate(program_a().program, database).answers() is not None
-    with pytest.raises(EvaluationError, match="does not support max_iterations"):
-        engine.evaluate(program_a().program, database, max_iterations=5)
 
 
 # ----------------------------------------------------------------------

@@ -153,7 +153,7 @@ class TestBuildGuard:
 # Every guard-supporting engine aborts, both layouts, database untouched
 # ----------------------------------------------------------------------
 GUARD_ENGINES = [
-    name for name in available_engines() if getattr(get_engine(name), "supports_guard", False)
+    name for name in available_engines() if "guard" in get_engine(name).accepts
 ]
 
 
@@ -191,23 +191,6 @@ class TestEngineAborts:
         )
         free = session.evaluate(engine=engine)
         assert bounded.answers() == free.answers()
-
-
-def test_unsupporting_engine_rejects_guard_loudly():
-    # The registry contract: an engine that cannot checkpoint must refuse a
-    # guard rather than silently running unbounded.
-    from repro.datalog.engine.registry import FunctionEngine
-
-    engine = FunctionEngine(
-        name="inert",
-        description="no guard support",
-        function=lambda program, database, **kw: None,
-        supports_guard=False,
-    )
-    with pytest.raises(EvaluationError, match="does not support cooperative guards"):
-        engine.evaluate(
-            parse_program(REACH), chain_database(), guard=ResourceBudget().start()
-        )
 
 
 # ----------------------------------------------------------------------

@@ -467,36 +467,3 @@ class TestIncrementalCli:
         out = capsys.readouterr().out
         assert "materialized view" in out
         assert "DRed" in out
-
-    def test_serve_bench_writes_and_materialize(self, tmp_path, capsys):
-        from repro.cli import main
-
-        program = tmp_path / "q.dl"
-        program.write_text(
-            "?anc($who, Y)\n"
-            "anc(X, Y) :- par(X, Y).\n"
-            "anc(X, Y) :- anc(X, Z), par(Z, Y).\n"
-        )
-        facts = tmp_path / "facts.dl"
-        facts.write_text("\n".join(f"par(p{i}, p{i + 1})." for i in range(10)))
-        code = main(
-            [
-                "serve-bench",
-                str(program),
-                str(facts),
-                "--requests",
-                "40",
-                "--threads",
-                "1",
-                "--distinct",
-                "4",
-                "--writes",
-                "4",
-                "--materialize",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "view hits" in out
-        assert "write lat." in out
-        assert "bindings kept live" in out

@@ -28,7 +28,7 @@ from repro.datalog.columnar import batch, shard
 from repro.datalog.columnar.relation import KEY_BITS
 from repro.datalog.engine import compile_program_plan, get_engine
 from repro.datalog.engine.fixpoint import select_lane
-from repro.datalog.engine.parallel import depth_groups, resolve_workers
+from repro.datalog.engine.parallel import depth_groups
 from repro.datalog.engine.planner import Planner
 from repro.datalog.engine.stats import EvaluationStatistics
 from repro.datalog.guard import CancellationToken, ResourceBudget
@@ -81,45 +81,6 @@ def assert_parity(serial, parallel):
     """The full parity contract: identical model AND identical statistics."""
     assert parallel.idb_facts == serial.idb_facts
     assert parallel.statistics == serial.statistics
-
-
-# ----------------------------------------------------------------------
-# The workers knob
-# ----------------------------------------------------------------------
-class TestResolveWorkers:
-    def test_none_means_serial(self):
-        assert resolve_workers(None) == 1
-
-    def test_positive_ints_pass_through(self):
-        assert resolve_workers(1) == 1
-        assert resolve_workers(7) == 7
-
-    @pytest.mark.parametrize("bad", [True, False, 2.0, "2", 0, -3])
-    def test_rejects_non_positive_and_non_ints(self, bad):
-        with pytest.raises(EvaluationError, match="workers"):
-            resolve_workers(bad)
-
-    def test_engines_without_the_layer_refuse_workers(self):
-        program = PROGRAM_POOL[0]
-        database = random_graph(5, 8)
-        with pytest.raises(EvaluationError, match="parallel workers"):
-            get_engine("topdown").evaluate(program, database, workers=2)
-
-    def test_magic_forwards_workers_to_its_delegate(self):
-        program = parse_program(
-            """
-            ?t(0, Y)
-            t(X, Y) :- e(X, Y).
-            t(X, Y) :- t(X, Z), e(Z, Y).
-            """
-        )
-        database = random_graph(6, 12)
-        engine = get_engine("magic")
-        assert engine.supports_workers
-        assert_parity(
-            engine.evaluate(program, database),
-            engine.evaluate(program, database, workers=2),
-        )
 
 
 # ----------------------------------------------------------------------
@@ -233,7 +194,7 @@ class TestParity:
 
     def test_session_rejects_workers_on_topdown(self):
         session = QuerySession(PROGRAM_POOL[0], random_graph(5, 8))
-        with pytest.raises(EvaluationError, match="parallel workers"):
+        with pytest.raises(EvaluationError, match="does not support the workers option"):
             session.evaluate("topdown", workers=2)
 
 
@@ -684,5 +645,5 @@ class TestServiceWorkers:
             anc(X, Y) :- anc(X, Z), par(Z, Y).
             """,
         )
-        with pytest.raises(EvaluationError, match="parallel workers"):
+        with pytest.raises(EvaluationError, match="does not support the workers option"):
             service.execute("anc", who="john", engine="topdown", workers=2)
