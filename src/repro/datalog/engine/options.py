@@ -128,8 +128,17 @@ class EvalOptions:
             if name not in accepts and getattr(self, name) is not None:
                 if name not in self.hints:
                     raise EvaluationError(f"{who} does not support the {name} option")
-                self = dataclasses.replace(self, **{name: None})
+                self = self.replace(**{name: None})
         return self
+
+    def replace(self, **changes) -> "EvalOptions":
+        """A validated copy with *changes* applied: ``dataclasses.replace``
+        minus its per-call field introspection, which showed on the
+        prepared-query path (one copy per execution, to hand over the plan)."""
+        clone = object.__new__(EvalOptions)
+        vars(clone).update(vars(self), **changes)
+        clone.__post_init__()
+        return clone
 
 
 def _field(keyword: str) -> str:

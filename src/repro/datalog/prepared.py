@@ -33,7 +33,6 @@ builds the full traffic-facing layer on top.
 
 from __future__ import annotations
 
-import dataclasses
 import threading
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
@@ -484,7 +483,7 @@ class PreparedQuery:
             result = self._resolve_engine(options.engine).evaluate(
                 shared_program,
                 self._database.overlay(),
-                dataclasses.replace(options, plan=self.plan()),
+                options.replace(plan=self.plan()),
             )
             return [
                 result.answers(self.goal_template.bind_parameters(bindings))
@@ -556,7 +555,7 @@ class PreparedQuery:
             return engine_object.evaluate(
                 exec_program,
                 self._database.overlay(),
-                dataclasses.replace(options, plan=self.plan()),
+                options.replace(plan=self.plan()),
             )
         return engine_object.evaluate(exec_program, self._database, options)
 
