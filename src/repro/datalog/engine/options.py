@@ -108,11 +108,12 @@ class EvalOptions:
                 if key not in values and _field(key) not in values:
                     values[key] = value
             hints = hints.union({_field(key) for key in values} - strict)
-        guard_inputs = [values.pop(key, None) for key in GUARD_KEYWORDS]
-        if guard_inputs != [None, None, None]:
+        pop = values.pop
+        guard = build_guard(pop("timeout", None), pop("budget", None), pop("cancellation", None))
+        if guard is not None:
             if "guard" in values:
                 raise TypeError("pass guard= or timeout=/budget=/cancellation=, not both")
-            values["guard"] = build_guard(*guard_inputs)
+            values["guard"] = guard
         return cls(**values, hints=hints)
 
     def checked(self, who: str, accepts: Collection[str]) -> "EvalOptions":
