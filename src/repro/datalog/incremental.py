@@ -522,15 +522,27 @@ class MaterializedView:
         goal = goal if goal is not None else self._program.goal
         if goal is None:
             raise EvaluationError("no goal supplied and the program has none")
-        version = self._model.version
         if own_goal:
-            cached = self._answers_cache
-            if cached is not None and cached[0] == version:
-                return cached[1]
+            cached = self.cached_answers()
+            if cached is not None:
+                return cached
+        version = self._model.version
         result = select_answers(goal, self._model.relation(goal.predicate))
         if own_goal:
             self._answers_cache = (version, result)
         return result
+
+    def cached_answers(self) -> Optional[FrozenSet[Tuple]]:
+        """The own-goal answers if memoized for the current model version.
+
+        ``None`` when the next :meth:`answers` call would have to select
+        (first read, or first read after a maintenance sweep changed the
+        model); this method itself never selects.
+        """
+        cached = self._answers_cache
+        if cached is not None and cached[0] == self._model.version:
+            return cached[1]
+        return None
 
     def describe(self) -> str:
         """Human-readable account: per-stratum maintenance strategy and sizes."""

@@ -400,6 +400,9 @@ class DurableDatalogService:
     def execute(self, name: str, params: Optional[Mapping] = None, **keywords):
         return self._service.execute(name, params, **keywords)
 
+    def lookup(self, name: str, bindings: Optional[Mapping] = None, engine=None):
+        return self._service.lookup(name, bindings, engine)
+
     def execute_many(self, name: str, bindings_list, **keywords):
         return self._service.execute_many(name, bindings_list, **keywords)
 

@@ -2,8 +2,15 @@
 
 A deliberately small HTTP/1.1 server on :func:`asyncio.start_server` — no
 third-party framework — that exposes the :class:`DurableDatalogService`
-surface over JSON, keeps engine work off the event loop (a thread pool runs
-every service call), and applies admission control to writes.
+surface over JSON, keeps engine work off the event loop, and applies
+admission control to writes.
+
+What runs where: the event loop frames requests, parses each body once,
+validates options, admits writes, probes the result cache without blocking
+(:meth:`DatalogService.lookup`) and answers hits and ``/healthz`` itself —
+a hit's body is encoded once per cache entry and kept on the entry.  A
+thread pool runs every call that can evaluate, write or fsync, and only
+those requests get a cancellation token and a disconnect watchdog.
 
 Endpoints (JSON request/response unless noted)::
 
@@ -78,6 +85,12 @@ _WRITE_ENDPOINTS = frozenset(
 # cancellation token the disconnect watchdog trips when the client goes
 # away mid-query.
 _ENGINE_ENDPOINTS = frozenset({"execute", "execute_many"})
+# Every routed endpoint and the one method it accepts; a target outside this
+# table is a 404 and is accounted under one "unknown" metrics label.
+_ENDPOINT_METHODS = {
+    **dict.fromkeys(("metrics", "healthz", "statistics"), "GET"),
+    **dict.fromkeys(_WRITE_ENDPOINTS | _ENGINE_ENDPOINTS | {"prepare"}, "POST"),
+}
 # How often the watchdog polls the connection for client departure; engine
 # loops observe the token at their next checkpoint, so total reaction time
 # is this poll interval plus one checkpoint interval.
@@ -92,8 +105,10 @@ _STATUS_TEXT = {
     413: "Payload Too Large",
     429: "Too Many Requests",
     500: "Internal Server Error",
+    501: "Not Implemented",
     503: "Service Unavailable",
 }
+_JSON = {"Content-Type": "application/json"}
 
 
 class _HttpError(Exception):
@@ -109,6 +124,10 @@ class _HttpError(Exception):
 def _sorted_answers(answers) -> list:
     """Frozenset-of-tuples results as a deterministic JSON list-of-lists."""
     return [list(row) for row in sorted(answers, key=repr)]
+
+
+def _encode(result) -> bytes:
+    return json.dumps(result).encode("utf-8")
 
 
 class DatalogHTTPServer:
@@ -230,18 +249,18 @@ class DatalogHTTPServer:
         try:
             while True:
                 try:
-                    request = await self._read_request(reader)
+                    request = await self._read_request(reader, writer)
                 except _HttpError as exc:
                     # Malformed framing (bad request line, oversized header
-                    # block, unparsable Content-Length): answer properly and
-                    # close — the byte stream is no longer trustworthy.
+                    # block, unparsable Content-Length, a body framed some
+                    # other way): answer properly and close — the byte
+                    # stream is no longer trustworthy.
                     status, payload, extra = self._error_response(exc)
                     await self._write_response(writer, status, payload, extra, False)
                     break
                 if request is None:
                     break
-                method, target, headers, body = request
-                keep_alive = headers.get("connection", "keep-alive") != "close"
+                method, target, keep_alive, body = request
                 status, payload, extra = await self._dispatch(
                     method, target, body, reader, writer
                 )
@@ -263,9 +282,14 @@ class DatalogHTTPServer:
                 pass
 
     async def _read_request(
-        self, reader: asyncio.StreamReader
-    ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
-        """Parse one HTTP/1.1 request; ``None`` on a cleanly closed connection."""
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> Optional[Tuple[str, str, bool, bytes]]:
+        """Parse one HTTP/1.x request as ``(method, target, keep_alive, body)``.
+
+        ``None`` on a cleanly closed connection.  Bodies are framed by
+        ``Content-Length`` only; *writer* is for the interim ``100 Continue``
+        a client may be waiting for before it sends one.
+        """
         try:
             head = await reader.readuntil(b"\r\n\r\n")
         except asyncio.IncompleteReadError as exc:
@@ -278,13 +302,19 @@ class DatalogHTTPServer:
         parts = request_line.decode("latin-1").split()
         if len(parts) != 3:
             raise _HttpError(400, "malformed request line")
-        method, target, _version = parts
+        method, target, version = parts
         headers: Dict[str, str] = {}
         for line in header_block.decode("latin-1").split("\r\n"):
             if not line:
                 continue
             name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
+        if "transfer-encoding" in headers:
+            # Framing it as length 0 would parse the chunks as the next
+            # request line.
+            raise _HttpError(
+                501, "Transfer-Encoding is not supported; send a Content-Length"
+            )
         raw_length = headers.get("content-length", "0") or "0"
         try:
             length = int(raw_length)
@@ -294,8 +324,15 @@ class DatalogHTTPServer:
             raise _HttpError(400, f"invalid Content-Length: {raw_length!r}")
         if length > _MAX_BODY:
             raise _HttpError(413, "request body too large")
+        old_client = version.upper() == "HTTP/1.0"
+        connection = headers.get("connection", "").lower()
+        tokens = [token.strip() for token in connection.split(",")]
+        keep_alive = "close" not in tokens and (not old_client or "keep-alive" in tokens)
+        if length and not old_client and headers.get("expect", "").lower() == "100-continue":
+            writer.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+            await writer.drain()
         body = await reader.readexactly(length) if length else b""
-        return method, target, headers, body
+        return method, target, keep_alive, body
 
     async def _write_response(
         self,
@@ -338,17 +375,16 @@ class DatalogHTTPServer:
                     self._admit_write()
                     self._pending_writes += 1
                     try:
-                        result = await self._run(
+                        payload, extra = await self._run(
                             loop, endpoint, method, body, reader, writer
                         )
                     finally:
                         self._pending_writes -= 1
                 else:
-                    result = await self._run(
+                    payload, extra = await self._run(
                         loop, endpoint, method, body, reader, writer
                     )
-                payload = json.dumps(result).encode("utf-8")
-                status, extra = 200, {"Content-Type": "application/json"}
+                status = 200
             except _HttpError as exc:
                 status, payload, extra = self._error_response(exc)
             except (QueryNotRegisteredError,) as exc:
@@ -382,10 +418,6 @@ class DatalogHTTPServer:
                 status, payload, extra = self._error_response(
                     _HttpError(500, f"internal error: {type(exc).__name__}")
                 )
-            if endpoint == "metrics" and status == 200:
-                # /metrics returns text, not JSON: unwrap the rendered string.
-                payload = result.encode("utf-8")
-                extra = {"Content-Type": "text/plain; version=0.0.4"}
             elapsed = loop.time() - start
             if elapsed >= self._slow_query_threshold:
                 self._slow_queries += 1
@@ -396,7 +428,10 @@ class DatalogHTTPServer:
                     status,
                     self._slow_query_threshold,
                 )
-            self.metrics.observe_request(endpoint, status, elapsed)
+            # The label set must stay finite: whatever a client puts in the
+            # request target, an unrouted one is "unknown".
+            label = endpoint if endpoint in _ENDPOINT_METHODS else "unknown"
+            self.metrics.observe_request(label, status, elapsed)
             return status, payload, extra
         finally:
             self._inflight -= 1
@@ -416,17 +451,24 @@ class DatalogHTTPServer:
             )
 
     def _error_response(self, exc: _HttpError) -> Tuple[int, bytes, Dict[str, str]]:
-        payload = json.dumps({"error": exc.message}).encode("utf-8")
-        extra = {"Content-Type": "application/json"}
+        payload = _encode({"error": exc.message})
+        extra = dict(_JSON)
         if exc.retry_after is not None:
             extra["Retry-After"] = str(exc.retry_after)
         return exc.status, payload, extra
 
-    async def _run(self, loop, endpoint: str, method: str, body: bytes, reader, writer):
-        handler = getattr(self, f"_endpoint_{endpoint}", None)
-        if handler is None:
+    async def _run(
+        self, loop, endpoint: str, method: str, body: bytes, reader, writer
+    ) -> Tuple[bytes, Dict[str, str]]:
+        """One routed request's ``200`` body and headers; errors are raised.
+
+        Runs on the event loop up to the point where the request is known to
+        need a service call that can evaluate, write or fsync; that call is
+        the only thing handed to the pool.
+        """
+        expected = _ENDPOINT_METHODS.get(endpoint)
+        if expected is None:
             raise _HttpError(404, f"no such endpoint: /{endpoint}")
-        expected = "GET" if endpoint in ("metrics", "healthz", "statistics") else "POST"
         if method != expected:
             raise _HttpError(405, f"/{endpoint} requires {expected}")
         if expected == "POST":
@@ -438,31 +480,48 @@ class DatalogHTTPServer:
                 raise _HttpError(400, "request body must be a JSON object")
         else:
             request = {}
+        if endpoint == "healthz":
+            return _encode(self._endpoint_healthz(request)), _JSON
         watchdog = None
         if endpoint in _ENGINE_ENDPOINTS:
             # One reserved key carries the request's option keywords to the
             # handler (the service builds its EvalOptions from them, on a
-            # cache miss only); the engine observes the guard inputs at its
-            # next cooperative checkpoint, so the evaluation thread unwinds
-            # at a safe point with nothing mutated — the pool thread is
-            # never killed.
-            cancellation = CancellationToken()
-            request["_options"] = {
+            # cache miss only).  They are validated before the probe, so a
+            # malformed request is refused whether or not its answer is
+            # cached.
+            options = request["_options"] = {
                 "engine": request.get("engine"),
                 "timeout": self._deadline_for(request.pop("timeout", None)),
                 "budget": self._budget_for(request.pop("budget", None)),
-                "cancellation": cancellation,
             }
+            if endpoint == "execute" and not request.get("fresh", False):
+                entry = self._durable.lookup(
+                    str(self._required(request, "name")),
+                    request.get("params"),
+                    options["engine"],
+                )
+                if entry is not None:
+                    # Cache and view hits never time out (there is no engine
+                    # to bound) and need nothing a pool thread has.
+                    if entry.payload is None:
+                        entry.payload = _encode({"answers": _sorted_answers(entry.answers)})
+                    return entry.payload, _JSON
+            # The engine observes the token at its next cooperative
+            # checkpoint, so the evaluation thread unwinds at a safe point
+            # with nothing mutated — the pool thread is never killed.
+            cancellation = options["cancellation"] = CancellationToken()
             watchdog = loop.create_task(
                 self._watch_disconnect(reader, writer, cancellation)
             )
+        handler = getattr(self, f"_endpoint_{endpoint}")
         try:
-            # Every service call — even cheap ones — runs on the pool so a
-            # slow engine evaluation can never stall the event loop.
-            return await loop.run_in_executor(self._executor, handler, request)
+            result = await loop.run_in_executor(self._executor, handler, request)
         finally:
             if watchdog is not None:
                 watchdog.cancel()
+        if endpoint == "metrics":
+            return result.encode("utf-8"), {"Content-Type": "text/plain; version=0.0.4"}
+        return _encode(result), _JSON
 
     def _deadline_for(self, requested) -> Optional[float]:
         """The effective per-request timeout: server default, client-tightened."""
@@ -512,7 +571,7 @@ class DatalogHTTPServer:
         cancellation.cancel()
 
     # ------------------------------------------------------------------
-    # Endpoints (run on the thread pool)
+    # Endpoints (run on the thread pool; healthz on the event loop)
     # ------------------------------------------------------------------
     @staticmethod
     def _required(request: Dict, key: str):

@@ -34,6 +34,9 @@ Contract:
   keyed by ``(query, engine, params, write epoch, database.version)`` —
   every write installs a new epoch, implicitly invalidating every cached
   answer without a scan.
+* **Probing** (:meth:`DatalogService.lookup`) answers "is this request a
+  hit?" for callers that must not block: it try-locks, never prepares or
+  evaluates, and returns the cached entry or ``None``.
 * **Writes** go through :meth:`add_facts`, which never mutates the
   snapshot in-flight readers are using: it copies the current database,
   applies the batch, and atomically swaps the new snapshot in.  Requests
@@ -67,10 +70,27 @@ from repro.errors import (
 )
 
 __all__ = [
+    "CachedAnswers",
     "DatalogService",
     "QueryNotRegisteredError",
     "ServiceDrainingError",
 ]
+
+
+class CachedAnswers:
+    """One cached result: the immutable answers and a slot for their wire form.
+
+    ``payload`` is opaque to the service: whoever serves the entry (the HTTP
+    front end keeps the encoded response body there) fills it on first use.
+    An entry is never mutated otherwise and dies with its cache key, so a
+    write — which retires every key — retires every payload with it.
+    """
+
+    __slots__ = ("answers", "payload")
+
+    def __init__(self, answers: FrozenSet[Tuple]):
+        self.answers = answers
+        self.payload = None
 
 
 class DatalogService:
@@ -126,12 +146,15 @@ class DatalogService:
         # bumped whenever add_facts installs a new database snapshot; part of
         # every cache key, so a swap invalidates all cached answers at once
         self._epoch = 0
-        # (name, engine, params, epoch, db version) -> answers, LRU order
-        self._cache: "OrderedDict[Tuple, FrozenSet[Tuple]]" = OrderedDict()
+        # (name, engine, params, epoch, db version) -> entry, LRU order
+        self._cache: "OrderedDict[Tuple, CachedAnswers]" = OrderedDict()
         # (name, normalized params) -> live MaterializedView; maintained
         # in-place by add_facts/remove_facts instead of being invalidated,
         # and consulted by execute() before the LRU cache.
         self._views: Dict[Tuple[str, FrozenSet], MaterializedView] = {}
+        # Same keys -> the entry lookup() last served for that view; current
+        # only while its answers *are* the view's memoized frozenset.
+        self._view_entries: Dict[Tuple[str, FrozenSet], CachedAnswers] = {}
         self._cache_hits = 0
         self._cache_misses = 0
         self._view_hits = 0
@@ -204,6 +227,7 @@ class DatalogService:
                 del self._cache[key]
             for key in [key for key in self._views if key[0] == name]:
                 del self._views[key]
+                self._view_entries.pop(key, None)
 
     def registered_queries(self) -> Tuple[str, ...]:
         """Names of all registered queries, sorted."""
@@ -296,22 +320,22 @@ class DatalogService:
         engine = keywords.get("engine")
         if engine is not None and not isinstance(engine, str):
             EvalOptions(engine=engine)  # the typed rejection, before it keys the cache
+        normalized = self._normalize_bindings(bindings)
         if self._views and not fresh and engine is None:
-            view_key = (name, self._normalize_bindings(bindings))
             with self._lock:
-                view = self._views.get(view_key)
+                view = self._views.get((name, normalized))
                 if view is not None:
                     self._view_hits += 1
                     return view.answers()
         prepared, epoch = self._prepared_entry(name)
-        key = self._cache_key(name, prepared, epoch, bindings, engine)
+        key = self._cache_key(name, prepared, epoch, normalized, engine)
         if not fresh and self._cache_size:
             with self._lock:
                 cached = self._cache.get(key)
                 if cached is not None:
                     self._cache.move_to_end(key)
                     self._cache_hits += 1
-                    return cached
+                    return cached.answers
                 self._cache_misses += 1
         try:
             answers = prepared.answers(
@@ -322,11 +346,67 @@ class DatalogService:
         with self._lock:
             self._executions += 1
             if not fresh and self._cache_size:
-                self._cache[key] = answers
-                self._cache.move_to_end(key)
-                while len(self._cache) > self._cache_size:
-                    self._cache.popitem(last=False)
+                self._store(key, answers)
         return answers
+
+    def lookup(
+        self,
+        name: str,
+        bindings: Optional[Mapping[str, object]] = None,
+        engine: Optional[str] = None,
+    ) -> Optional[CachedAnswers]:
+        """The cached entry :meth:`execute` would serve right now, or ``None``.
+
+        A probe for callers that must not block (the HTTP server asks it on
+        its event loop): it **never evaluates** — no prepare, no engine, no
+        ``select_answers`` — and **never waits** on the service lock.  It
+        returns the entry of a live view whose answers are memoized for the
+        view's current version, or of an LRU hit, counting exactly the
+        ``view_hits``/``cache_hits`` and LRU touch :meth:`execute` would
+        have.  ``None`` means "ask :meth:`execute`": nothing is cached, the
+        query needs preparing (or is unknown), a view must reselect after a
+        write, *engine* is not a name, or another thread holds the lock.
+        ``None`` counts nothing, so a request that falls back is counted
+        once, by :meth:`execute`.
+        """
+        if engine is not None and not isinstance(engine, str):
+            return None
+        # dict(): a non-mapping raises here exactly as it does in execute().
+        normalized = self._normalize_bindings(dict(bindings or {}))
+        if not self._lock.acquire(blocking=False):
+            return None
+        try:
+            if engine is None:
+                view_key = (name, normalized)
+                view = self._views.get(view_key)
+                if view is not None:
+                    answers = view.cached_answers()
+                    if answers is None:
+                        return None
+                    entry = self._view_entries.get(view_key)
+                    if entry is None or entry.answers is not answers:
+                        entry = self._view_entries[view_key] = CachedAnswers(answers)
+                    self._view_hits += 1
+                    return entry
+            compiled = self._prepared.get(name)
+            if compiled is None:
+                return None
+            prepared, epoch = compiled
+            key = self._cache_key(name, prepared, epoch, normalized, engine)
+            entry = self._cache.get(key)
+            if entry is not None:
+                self._cache.move_to_end(key)
+                self._cache_hits += 1
+            return entry
+        finally:
+            self._lock.release()
+
+    def _store(self, key: Tuple, answers: FrozenSet[Tuple]) -> None:
+        """Insert one result as the most recent LRU entry (lock held)."""
+        self._cache[key] = CachedAnswers(answers)
+        self._cache.move_to_end(key)
+        while len(self._cache) > self._cache_size:
+            self._cache.popitem(last=False)
 
     @staticmethod
     def _normalize_bindings(bindings: Mapping[str, object]) -> FrozenSet:
@@ -341,15 +421,14 @@ class DatalogService:
         name: str,
         prepared: PreparedQuery,
         epoch: int,
-        bindings: Mapping[str, object],
+        normalized: FrozenSet,
         engine: Optional[str],
     ) -> Tuple:
-        # Normalise Constant-wrapped values so `who="john"` and
-        # `who=Constant("john")` share one entry, and key on the *prepared
+        # *normalized* is _normalize_bindings' result, so `who="john"` and
+        # `who=Constant("john")` share one entry; the key is on the *prepared
         # query's* snapshot (not self._database, which a concurrent write
         # may have swapped) so an answer computed against an old snapshot
         # can only ever be cached under that old snapshot's epoch/version.
-        normalized = self._normalize_bindings(bindings)
         return (
             name,
             engine or prepared.default_engine,
@@ -389,11 +468,11 @@ class DatalogService:
                 self._executions += engine_runs
                 if self._cache_size:
                     for bindings, answers in zip(materialized, results):
-                        key = self._cache_key(name, prepared, epoch, bindings, options.engine)
-                        self._cache[key] = answers
-                        self._cache.move_to_end(key)
-                    while len(self._cache) > self._cache_size:
-                        self._cache.popitem(last=False)
+                        normalized = self._normalize_bindings(bindings)
+                        self._store(
+                            self._cache_key(name, prepared, epoch, normalized, options.engine),
+                            answers,
+                        )
         return results
 
     def cursor(
@@ -483,6 +562,7 @@ class DatalogService:
         bindings.update(kw_params)
         key = (name, self._normalize_bindings(bindings))
         with self._lock:
+            self._view_entries.pop(key, None)
             return self._views.pop(key, None) is not None
 
     # ------------------------------------------------------------------

@@ -302,14 +302,17 @@ SURFACES = (
     TransformedEngine,
 )
 #: The only places an option is spelled as a parameter: the engine a session
-#: dispatches on (positional, the historical signature) and the per-query
-#: default engine a registration stores.
+#: dispatches on (positional, the historical signature), the per-query
+#: default engine a registration stores, and the engine name a cache probe
+#: keys on (``lookup`` never evaluates, so it takes no options to forward).
 NAMED_ENGINE = {
     (QuerySession, "evaluate"),
     (QuerySession, "answers"),
     (QuerySession, "prepare"),
     (DatalogService, "register_program"),
     (DurableDatalogService, "register_program"),
+    (DatalogService, "lookup"),
+    (DurableDatalogService, "lookup"),
 }
 
 

@@ -10,6 +10,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -303,6 +304,58 @@ class TestProtocolErrors:
         assert response.startswith(b"HTTP/1.1 413 ")
         assert b"header block too large" in response
 
+    @pytest.mark.parametrize(
+        "request_head",
+        [
+            b"GET /healthz HTTP/1.1\r\nConnection: Close\r\n\r\n",
+            b"GET /healthz HTTP/1.0\r\n\r\n",
+        ],
+        ids=["connection-close-any-case", "http-1.0-without-keep-alive"],
+    )
+    def test_connection_is_closed_when_the_client_asks(self, server, request_head):
+        # raw_exchange returns when the server closes the connection; it
+        # would sit out the 10 s socket timeout if the server kept it open.
+        start = time.monotonic()
+        response = self.raw_exchange(server.port, request_head)
+        assert response.startswith(b"HTTP/1.1 200 ")
+        assert b"Connection: close\r\n" in response
+        assert time.monotonic() - start < 5
+
+    def test_chunked_request_gets_501_and_is_not_reparsed(self, server):
+        response = self.raw_exchange(
+            server.port,
+            b"POST /execute HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+            b"5\r\nhello\r\n0\r\n\r\n",
+        )
+        assert response.startswith(b"HTTP/1.1 501 ")
+        assert b"Transfer-Encoding" in response
+        # One reply, then the close: the chunks were not read as a request.
+        assert response.count(b"HTTP/1.1 ") == 1
+        assert server.get("/healthz")[0] == 200
+
+    def test_expect_100_continue_gets_the_interim_reply(self, server):
+        import socket
+
+        install_reach(server)
+        body = json.dumps({"name": "reach", "params": {"src": "a"}}).encode()
+        with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
+            sock.sendall(
+                b"POST /execute HTTP/1.1\r\nExpect: 100-Continue\r\n"
+                b"Connection: close\r\n"
+                + f"Content-Length: {len(body)}\r\n\r\n".encode()
+            )
+            # The body is withheld until the server says to go on (curl
+            # waits a full second for this before giving up and sending).
+            assert sock.recv(4096) == b"HTTP/1.1 100 Continue\r\n\r\n"
+            sock.sendall(body)
+            received = b""
+            while chunk := sock.recv(4096):
+                received += chunk
+        assert received.startswith(b"HTTP/1.1 200 ")
+        assert json.loads(received.partition(b"\r\n\r\n")[2]) == {
+            "answers": [["b"], ["c"], ["d"]]
+        }
+
 
 # ----------------------------------------------------------------------
 # Backpressure and drain
@@ -425,6 +478,33 @@ class TestMetricsEndpoint:
         assert 'repro_http_request_seconds_bucket{endpoint="execute",le="+Inf"}' in text
         assert "repro_http_pending_writes 0" in text
 
+    def test_unrouted_targets_share_one_series(self, server):
+        """The request target is client-chosen: it must not mint labels."""
+
+        def series(text):
+            return [
+                line
+                for line in text.splitlines()
+                if line.startswith(("repro_http_requests_total{", "repro_http_request_seconds_count{"))
+            ]
+
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
+        try:
+            for attempt in range(1001):
+                conn.request("GET", f"/no-such-{attempt}?x={attempt}")
+                response = conn.getresponse()
+                response.read()
+                assert response.status == 404
+                if attempt == 0:
+                    before = series(server.get("/metrics")[1])
+        finally:
+            conn.close()
+        after = series(server.get("/metrics")[1])
+        # /metrics itself is the one series the first scrape could not show.
+        assert len(after) == len(before) + 2
+        assert 'repro_http_requests_total{endpoint="unknown",status="404"} 1001' in after
+        assert not any("no-such" in line for line in after)
+
     def test_counters_stay_monotonic_across_writes_and_scrapes(self, server):
         install_reach(server)
         for step in range(3):
@@ -432,6 +512,177 @@ class TestMetricsEndpoint:
             server.post("/add_facts", {"facts": [["edge", ["n", str(step)]]]})
             status, _, _ = server.get("/metrics")
             assert status == 200  # a regression would surface as 500
+
+
+# ----------------------------------------------------------------------
+# Hits are answered by the event loop: no pool thread, no service lock
+# ----------------------------------------------------------------------
+class TestHitPath:
+    READ_A = {"name": "reach", "params": {"src": "a"}}
+
+    @staticmethod
+    def raw_post(handle, path, body):
+        """``(status, body bytes)`` — undecoded, to compare replies bytewise."""
+        conn = http.client.HTTPConnection("127.0.0.1", handle.port, timeout=30)
+        try:
+            conn.request("POST", path, json.dumps(body))
+            response = conn.getresponse()
+            return response.status, response.read()
+        finally:
+            conn.close()
+
+    @staticmethod
+    def stats(handle):
+        return json.loads(handle.get("/statistics")[1])
+
+    def test_busy_pool_does_not_delay_hits_or_healthz(self, tmp_path):
+        handle = ServerHandle(tmp_path / "data", executor_workers=1)
+        try:
+            install_reach(handle)
+            assert handle.post("/register", {"name": "tc", "source": UNBOUND_TC})[0] == 200
+            nodes = 500  # ~1.1s of evaluation on the pool's only thread
+            ring = [["edge", [f"n{i}", f"n{(i + 1) % nodes}"]] for i in range(nodes)]
+            assert handle.post("/add_facts", {"facts": ring})[0] == 200
+            _, cached = self.raw_post(handle, "/execute", self.READ_A)  # the miss
+            slow = threading.Thread(
+                target=handle.post, args=("/execute", {"name": "tc", "fresh": True})
+            )
+            slow.start()
+            deadline = time.monotonic() + 10
+            while not handle.server._inflight and time.monotonic() < deadline:
+                time.sleep(0.001)
+            assert handle.server._inflight, "the slow query never reached the server"
+            assert self.raw_post(handle, "/execute", self.READ_A) == (200, cached)
+            assert handle.get("/healthz")[0] == 200
+            # Both were answered while the slow query still had the pool: its
+            # engine run has not been counted yet (/statistics would queue
+            # behind it, so the counter is read directly).
+            assert handle.durable.statistics()["executions"] == 1
+            slow.join(timeout=30)
+            assert not slow.is_alive()
+            stats = self.stats(handle)
+            assert (stats["cache_hits"], stats["executions"]) == (1, 2)
+        finally:
+            handle.stop()
+
+    def test_held_service_lock_sends_the_request_to_the_pool(self, server):
+        install_reach(server)
+        _, cached = self.raw_post(server, "/execute", self.READ_A)
+        held, release, replies = threading.Event(), threading.Event(), []
+
+        def hold():
+            with server.durable.service._lock:
+                held.set()
+                release.wait(10)
+
+        holder = threading.Thread(target=hold)
+        reader = threading.Thread(
+            target=lambda: replies.append(self.raw_post(server, "/execute", self.READ_A))
+        )
+        holder.start()
+        try:
+            assert held.wait(10)
+            reader.start()
+            # The loop is not the one waiting: it keeps answering.
+            assert server.get("/healthz")[0] == 200
+            reader.join(timeout=0.3)
+            assert reader.is_alive() and not replies  # parked on a pool thread
+        finally:
+            release.set()
+            holder.join(10)
+        reader.join(timeout=10)
+        assert replies == [(200, cached)]
+        stats = self.stats(server)
+        assert (stats["cache_hits"], stats["cache_misses"]) == (1, 1)
+
+    def test_hit_bytes_equal_miss_bytes(self, server):
+        install_reach(server)
+        miss = self.raw_post(server, "/execute", self.READ_A)
+        first_hit = self.raw_post(server, "/execute", self.READ_A)
+        second_hit = self.raw_post(server, "/execute", self.READ_A)
+        assert miss == first_hit == second_hit
+        assert miss == (200, b'{"answers": [["b"], ["c"], ["d"]]}')
+        stats = self.stats(server)
+        assert (stats["cache_hits"], stats["cache_misses"], stats["executions"]) == (2, 1, 1)
+
+    @pytest.mark.parametrize("materialized", [False, True])
+    def test_a_write_between_reads_never_serves_the_old_payload(self, server, materialized):
+        install_reach(server)
+        if materialized:
+            assert server.post("/materialize", self.READ_A)[0] == 200
+
+        def read():
+            # Twice: whichever of the two is the first hit encodes the payload.
+            first = self.raw_post(server, "/execute", self.READ_A)
+            assert self.raw_post(server, "/execute", self.READ_A) == first
+            return json.loads(first[1])["answers"]
+
+        assert read() == [["b"], ["c"], ["d"]]
+        assert server.post("/add_facts", {"facts": [["edge", ["d", "e"]]]})[0] == 200
+        assert read() == [["b"], ["c"], ["d"], ["e"]]
+        assert server.post("/remove_facts", {"facts": [["edge", ["b", "c"]]]})[0] == 200
+        assert read() == [["b"]]
+        stats = self.stats(server)
+        if materialized:
+            assert (stats["view_hits"], stats["cache_hits"], stats["executions"]) == (6, 0, 0)
+        else:
+            assert (stats["cache_hits"], stats["cache_misses"]) == (3, 3)
+
+    @pytest.mark.parametrize(
+        "extra, status, runs_engine",
+        [
+            ({"fresh": True}, 200, True),
+            ({"engine": "naive"}, 200, True),
+            ({"engine": 5}, 400, False),
+            ({"engine": "no-such-engine"}, 400, False),
+            ({"timeout": "fast"}, 400, False),
+            ({"timeout": -1}, 400, False),
+            ({"budget": {"max_disk": 1}}, 400, False),
+            ({"budget": 7}, 400, False),
+        ],
+    )
+    def test_options_behave_the_same_cached_or_not(self, server, extra, status, runs_engine):
+        install_reach(server)
+        request = dict(self.READ_A, **extra)
+        cold = self.raw_post(server, "/execute", request)
+        assert cold[0] == status
+        executions = self.stats(server)["executions"]
+        assert self.raw_post(server, "/execute", self.READ_A)[0] == 200  # now it is cached
+        assert self.raw_post(server, "/execute", self.READ_A)[0] == 200
+        before = self.stats(server)
+        assert before["executions"] == executions + 1
+        assert self.raw_post(server, "/execute", request) == cold
+        after = self.stats(server)
+        assert after["executions"] - before["executions"] == (1 if extra == {"fresh": True} else 0)
+        assert after["cache_hits"] - before["cache_hits"] == (
+            1 if extra == {"engine": "naive"} else 0
+        )
+        if runs_engine:
+            assert json.loads(cold[1]) == {"answers": [["b"], ["c"], ["d"]]}
+
+    def test_missing_name_is_400_before_the_probe(self, server):
+        install_reach(server)
+        status, body, _ = server.post("/execute", {"params": {"src": "a"}})
+        assert status == 400 and "name" in body["error"]
+
+    def test_hit_miss_and_view_counters_add_up_to_requests_served(self, server):
+        install_reach(server)
+        assert server.post("/materialize", {"name": "reach", "params": {"src": "b"}})[0] == 200
+        sources = ["a", "b", "c", "a", "b", "zzz", "a", "c", "b"] * 3
+        for step, src in enumerate(sources):
+            if step == len(sources) // 2:
+                assert server.post("/add_facts", {"facts": [["edge", ["d", "a"]]]})[0] == 200
+            assert server.post("/execute", {"name": "reach", "params": {"src": src}})[0] == 200
+        stats = self.stats(server)
+        assert stats["view_hits"] == sources.count("b")
+        assert stats["view_hits"] + stats["cache_hits"] + stats["cache_misses"] == len(sources)
+        assert stats["cache_misses"] == stats["executions"]
+        _, metrics, _ = server.get("/metrics")
+        assert re.search(
+            rf'repro_http_requests_total\{{endpoint="execute",status="200"\}} {len(sources)}$',
+            metrics,
+            re.M,
+        )
 
 
 # ----------------------------------------------------------------------
@@ -618,7 +869,6 @@ class TestRequestDeadlines:
         assert status == 200
 
         import socket
-        import time
 
         payload = json.dumps({"name": "tc", "fresh": True}).encode()
         raw = socket.create_connection(("127.0.0.1", server.port), timeout=10)

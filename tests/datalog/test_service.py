@@ -135,6 +135,124 @@ class TestResultCache:
 
 
 # ----------------------------------------------------------------------
+# lookup(): the probe that never evaluates and never waits
+# ----------------------------------------------------------------------
+class TestLookup:
+    def test_never_prepares_and_counts_nothing_on_a_miss(self):
+        service = make_service()
+        assert service.lookup("anc", {"who": "john"}) is None
+        assert service.lookup("nope", {"who": "john"}) is None  # execute() owns the 404
+        stats = service.statistics()
+        assert stats["prepared_queries"] == 0
+        assert (stats["cache_hits"], stats["cache_misses"], stats["executions"]) == (0, 0, 0)
+        service.prepare("anc")
+        assert service.lookup("anc", {"who": "john"}) is None  # prepared, not cached
+        assert service.statistics()["cache_misses"] == 0
+
+    def test_hit_returns_the_entry_execute_would_serve(self):
+        from repro.datalog import Constant
+
+        service = make_service()
+        answers = service.execute("anc", who="john")
+        entry = service.lookup("anc", {"who": "john"})
+        assert entry.answers is answers and entry.payload is None
+        entry.payload = b"wire form"
+        assert service.lookup("anc", {"who": Constant("john")}) is entry
+        assert service.lookup("anc", {"who": "john"}, "seminaive") is entry  # the default, named
+        assert service.lookup("anc", {"who": "john"}, "naive") is None
+        assert service.lookup("anc", {"who": "john"}, 5) is None  # execute() owns the rejection
+        stats = service.statistics()
+        assert (stats["cache_hits"], stats["cache_misses"], stats["executions"]) == (3, 1, 1)
+
+    def test_hit_refreshes_lru_recency_like_execute(self):
+        service = make_service(cache_size=2)
+        service.execute("anc", who="john")
+        service.execute("anc", who="p1")
+        assert service.lookup("anc", {"who": "john"}) is not None
+        service.execute("anc", who="p2")  # evicts p1, the least recently served
+        assert service.lookup("anc", {"who": "p1"}) is None
+        assert service.lookup("anc", {"who": "john"}) is not None
+
+    def test_a_write_retires_the_entry_and_its_payload(self):
+        service = make_service(transforms=())
+        service.execute("anc", who="john")
+        service.lookup("anc", {"who": "john"}).payload = b"old"
+        service.add_facts([("par", ("john", "zz_new"))])
+        assert service.lookup("anc", {"who": "john"}) is None
+        after = service.execute("anc", who="john")
+        entry = service.lookup("anc", {"who": "john"})
+        assert entry.answers is after and ("zz_new",) in after and entry.payload is None
+
+    def test_view_is_served_only_while_its_memo_is_current(self, monkeypatch):
+        from repro.datalog import incremental
+
+        service = make_service(transforms=())
+        service.materialize("anc", who="john")
+        # Nothing has selected yet: the probe must not be the one to do it.
+        monkeypatch.setattr(
+            incremental, "select_answers", lambda *a: pytest.fail("lookup selected")
+        )
+        assert service.lookup("anc", {"who": "john"}) is None
+        monkeypatch.undo()
+        before = service.execute("anc", who="john")
+        entry = service.lookup("anc", {"who": "john"})
+        assert entry.answers is before
+        assert service.lookup("anc", {"who": "john"}) is entry
+        entry.payload = b"old"
+        for write, batch in (
+            (service.add_facts, [("par", ("john", "zz_new"))]),
+            (service.remove_facts, [("par", ("john", "zz_new"))]),
+        ):
+            write(batch)
+            assert service.lookup("anc", {"who": "john"}) is None
+            current = service.execute("anc", who="john")
+            fresh_entry = service.lookup("anc", {"who": "john"})
+            assert fresh_entry.answers is current and fresh_entry.payload is None
+        assert current == before
+        # An engine override skips the view, as in execute().
+        assert service.lookup("anc", {"who": "john"}, "seminaive") is None
+        stats = service.statistics()
+        assert stats["view_hits"] == 7 and stats["cache_hits"] == 0  # the Nones counted nothing
+        assert service.dematerialize("anc", who="john")
+        assert service.lookup("anc", {"who": "john"}) is None
+
+    def test_returns_none_at_once_while_another_thread_holds_the_lock(self):
+        service = make_service()
+        service.execute("anc", who="john")
+        held, release = threading.Event(), threading.Event()
+
+        def hold():
+            with service._lock:
+                held.set()
+                release.wait(10)
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        try:
+            assert held.wait(10)
+            assert service.lookup("anc", {"who": "john"}) is None
+            assert holder.is_alive()  # it answered while the lock was still held
+        finally:
+            release.set()
+            holder.join(10)
+        assert not holder.is_alive()
+        assert service.lookup("anc", {"who": "john"}) is not None
+        assert service.statistics()["cache_hits"] == 1  # the refused probe counted nothing
+
+    def test_every_request_counts_exactly_once(self):
+        service = make_service()
+        service.materialize("anc", who="p1")
+        requests = [who for who in ("john", "p1", "p2", "john", "p1", "p3") for _ in range(3)]
+        for who in requests:
+            if service.lookup("anc", {"who": who}) is None:
+                service.execute("anc", who=who)
+        stats = service.statistics()
+        assert stats["view_hits"] == 6
+        assert stats["cache_hits"] + stats["cache_misses"] == len(requests) - 6
+        assert stats["cache_misses"] == stats["executions"] == 3
+
+
+# ----------------------------------------------------------------------
 # Concurrency: the satellite smoke test
 # ----------------------------------------------------------------------
 class TestConcurrency:
